@@ -15,13 +15,13 @@ from .duality import (
     dual_higher_order,
     fenchel_gap,
     kusuoka_constraint,
-    kusuoka_levels,
     kusuoka_value,
     t_sharp_eta,
 )
 from .errors import (
     CoercivityError,
     InvalidOrliczError,
+    ParameterError,
     ScenRiskError,
     SpaceMismatchError,
     SpaceTooCoarseError,

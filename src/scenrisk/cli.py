@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .duality import dual_higher_order, fenchel_gap, kusuoka_value
-from .errors import ScenRiskError
+from .errors import ParameterError, ScenRiskError
 from .extension import discretization_slack, extend_sup, lemma21_sequence, refinement_convergence
 from .harness import (
     DEFAULT_SEED,
@@ -36,7 +36,12 @@ from .risk_core import RiskFunctional, higher_order_T
 
 def _seed_default() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ParameterError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
 
 
 def _build_measure(args) -> RiskFunctional:
@@ -54,6 +59,15 @@ def _add_common(sp):
 
 
 def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+        return _dispatch(args)
+    except ScenRiskError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenrisk", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -84,7 +98,6 @@ def main(argv=None) -> int:
     _add_common(p_kus)
     p_kus.add_argument("--c", type=float, default=2.0)
     p_kus.add_argument("--p", type=float, default=2.0)
-    p_kus.add_argument("--grid", type=int, default=256)
 
     p_lem = sub.add_parser("lemma21", help="constructive bounded-sequence bounds")
     _add_common(p_lem)
@@ -95,12 +108,7 @@ def main(argv=None) -> int:
     p_bat.add_argument("--trials", type=int, default=25)
     p_bat.add_argument("--format", choices=("text", "curves"), default="text")
 
-    args = parser.parse_args(argv)
-    try:
-        return _dispatch(args)
-    except ScenRiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return parser
 
 
 def _dispatch(args) -> int:
@@ -117,12 +125,12 @@ def _dispatch(args) -> int:
     if args.verb == "extend":
         rho = _build_measure(args)
         res = extend_sup(rho, x, budget=args.budget, seed=args.seed)
+        curve = refinement_convergence(rho, x, depth=args.depth)
         direct = rho(x)
         print(f"measure: {rho.label}")
         print(f"direct: {direct:.12g}")
         print(f"sup_over_partitions: {res.value:.12g}")
         print(f"best_partition_cells: {res.best_partition.n_cells}")
-        curve = refinement_convergence(rho, x, depth=args.depth)
         if args.format == "curves":
             print("level,value,l1_gap")
             for pt in curve:
@@ -135,6 +143,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "dual":
+        if not args.p > 1.0:
+            raise ParameterError("the density dual needs p > 1")
         q = args.p / (args.p - 1.0)
         primal = higher_order_T(x, args.c, args.p)
         dual_val, z = dual_higher_order(x, args.c, q)
@@ -149,7 +159,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "kusuoka":
         primal = higher_order_T(x, args.c, args.p)
-        value, mu = kusuoka_value(x, args.c, args.p, grid_size=args.grid, seed=args.seed)
+        value, mu = kusuoka_value(x, args.c, args.p)
         print(f"primal: {primal:.12g}")
         print(f"mixture_value: {value:.12g}")
         print(f"gap: {primal - value:.3g}")

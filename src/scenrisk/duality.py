@@ -12,9 +12,11 @@ functionals, and certified lower bounds from multi-start ascent otherwise.
 
 The higher-order dual  max{ E[-X Z] : Z >= 0, E[Z] = 1, ||Z||_q <= c }  is
 solved in closed form through its stationarity structure
-Z ~ ((a - lam)^+)^{1/(q-1)}, a = -X, with an outer bisection on lam; the
-Kusuoka layer re-expresses the same optimum as a mixture of AVaR levels and
-certifies the sandwich against the primal.
+Z ~ ((a - lam)^+)^{1/(q-1)}, a = -X, with an outer bisection on lam.  The
+Kusuoka layer reads the same optimum off as a mixture of AVaR levels: the
+optimal density is a step spectrum on the distribution breakpoints, so the
+mixture is exact and needs no search; the mixture constraint is evaluated
+once as its certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import UnresolvedConjugateError
+from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError
 from .orlicz import orlicz_norm, perspective
 from .prob_core import FiniteProbSpace, Partition, RandomVariable, cond_exp
 from .risk_core import OrliczTriple, RiskFunctional, avar_many
@@ -93,7 +95,19 @@ class MixingMeasure:
 
 
 def _q_norm(values: np.ndarray, probs: np.ndarray, q: float) -> float:
-    return float((probs @ np.abs(values) ** q) ** (1.0 / q))
+    """||values||_q under probs, scaled by the largest magnitude so that a
+    large q neither overflows nor underflows the power."""
+    a = np.abs(values)
+    scale = float(a.max())
+    if not 0.0 < scale < INF:
+        return scale
+    return scale * float((probs @ (a / scale) ** q) ** (1.0 / q))
+
+
+def _direction_norm(v: np.ndarray, probs: np.ndarray, q: float) -> float:
+    """q-norm of a density-dual search direction: its entries lie in [0, 1]
+    and peak at exactly one, so the power needs no scaling."""
+    return float((probs @ v ** q) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +317,7 @@ def _enter_at_kink(d, probs, c, q, r, tau_e):
 
     def mass(w: float) -> float:
         vw = np.where(entering, w, v)
-        return c * float(probs @ vw) / _q_norm(vw, probs, q) - 1.0
+        return c * float(probs @ vw) / _direction_norm(vw, probs, q) - 1.0
 
     if mass(0.0) >= 0.0:
         return v
@@ -357,7 +371,7 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
     hull within 1e-7 (strong duality), and Z is returned as the certificate.
     """
     if not (c > 1.0 and q > 1.0):
-        raise ValueError("need c > 1 and q = p/(p-1) > 1")
+        raise ParameterError("need c > 1 and q = p/(p-1) > 1")
     probs = x.space.probs
     a = -x.values
     amax = float(a.max())
@@ -377,10 +391,10 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
     def mass_excess(tau: float) -> float:
         u = np.clip(d + tau, 0.0, None)
         v = (u / tau) ** r
-        return c * float(probs @ v) / _q_norm(v, probs, q) - 1.0
+        return c * float(probs @ v) / _direction_norm(v, probs, q) - 1.0
 
     def finish(v: np.ndarray):
-        z = c * v / _q_norm(v, probs, q)
+        z = c * v / _direction_norm(v, probs, q)
         z = z / float(probs @ z)
         z = _blend_feasible(z, probs, c, q)
         return float(probs @ (a * z)), Density(x.space, z)
@@ -425,7 +439,7 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
         u = np.clip(base + delta, 0.0, None)
         tau = seg_lo + delta
         v = (u / tau) ** r
-        return c * float(probs @ v) / _q_norm(v, probs, q) - 1.0
+        return c * float(probs @ v) / _direction_norm(v, probs, q) - 1.0
 
     def dir_at(delta: float) -> np.ndarray:
         u = np.clip(base + delta, 0.0, None)
@@ -545,33 +559,6 @@ def kusuoka_constraint(mu: MixingMeasure, q: float) -> float:
     return float(np.sum(sigma ** q * np.diff(edges)))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho_idx = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho_idx] / (rho_idx + 1.0)
-    return np.clip(v - theta, 0.0, None)
-
-
-def _restore_feasible(w: np.ndarray, levels: np.ndarray, q: float, cq: float) -> np.ndarray:
-    """Shrink toward the point mass at level 1 (strictly feasible) until the
-    constraint holds; bisection on the mixing parameter."""
-    mm = MixingMeasure(levels, w / w.sum())
-    if kusuoka_constraint(mm, q) <= cq:
-        return mm.weights
-    anchor = np.zeros_like(w)
-    anchor[-1] = 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        cand = (1.0 - mid) * mm.weights + mid * anchor
-        if kusuoka_constraint(MixingMeasure(levels, cand), q) <= cq:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * mm.weights + hi * anchor
-
-
 def _distribution_breaks(x: RandomVariable):
     """Cumulative probabilities at the sorted distinct values (last pinned to 1),
     plus the first atom index of each value class."""
@@ -582,91 +569,32 @@ def _distribution_breaks(x: RandomVariable):
     return breaks, first_idx
 
 
-def kusuoka_levels(x: RandomVariable, grid_size: int) -> np.ndarray:
-    """Level grid: geometric from 1/(4N) to 1 (denser near 0, where AVaR moves
-    fastest), augmented with the distribution's cumulative-probability
-    breakpoints so step spectra of the scenario itself are representable."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    n = x.space.atom_count
-    geo = np.geomspace(1.0 / (4.0 * n), 1.0, grid_size)
-    breaks, _ = _distribution_breaks(x)
-    levels = np.unique(np.concatenate([geo, breaks, [1.0]]))
-    return levels[(levels > 0.0) & (levels <= 1.0)]
+def kusuoka_value(x: RandomVariable, c: float, p: float) -> Tuple[float, MixingMeasure]:
+    """Exact AVaR-mixture value of T_{c,p}(x), read off the optimal dual density.
 
-
-def kusuoka_value(x: RandomVariable, c: float, p: float,
-                  grid_size: int = 256, seed: int = 0,
-                  subgradient_iters: int = 200) -> Tuple[float, MixingMeasure]:
-    """Best AVaR mixture value over the constrained set of mixing measures.
-
-    Maximizes sum_i w_i AVaR_{a_i}(x) over {w >= 0, sum w = 1,
-    kusuoka_constraint <= c**q}.  Three feasible candidates are combined and
-    the best is returned: the spectral measure rebuilt from the optimal dual
-    density (exact when the grid carries the distribution breakpoints, which
-    :func:`kusuoka_levels` guarantees), the feasible point masses, and a
-    projected-subgradient ascent from the point mass at level one with
-    feasibility restoration toward it.  Every candidate is feasible, so the
-    value never exceeds the primal hull beyond float noise.
+    The optimal density Z* of :func:`dual_higher_order` is constant on value
+    classes and nonincreasing against the sorted values: a step spectrum
+    sigma_j on the distribution breakpoints F_j.  Written as a sum of AVaR
+    kernels it gives the weights w_j = F_j (sigma_j - sigma_{j+1}), with
+    sigma_{m+1} = 0.  They sum to E[Z*] = 1, the mixture value is the dual
+    optimum E[-X Z*], and the constraint integral is E[Z*^q] <= c**q.
+    :func:`kusuoka_constraint` is evaluated once as the certificate; a measure
+    over c**q beyond relative float noise raises rather than being repaired.
     """
     if not (c > 1.0 and p > 1.0):
-        raise ValueError("need c > 1 and p > 1")
+        raise ParameterError("need c > 1 and p > 1")
     q = p / (p - 1.0)
-    cq = c ** q
-    levels = kusuoka_levels(x, grid_size)
-    m = levels.size
-    avars = avar_many(x, levels)
-    feas_tol = cq * (1.0 + 1e-12)
-
-    best_w = np.zeros(m)
-    best_w[-1] = 1.0  # point mass at level 1: constraint value 1 < c**q
-    best_val = float(avars[-1])
-
-    def consider(w: np.ndarray):
-        nonlocal best_w, best_val
-        w = np.clip(w, 0.0, None)
-        s = w.sum()
-        if s <= 0:
-            return
-        w = w / s
-        if kusuoka_constraint(MixingMeasure(levels, w), q) > feas_tol:
-            w = _restore_feasible(w, levels, q, cq)
-        val = float(w @ avars)
-        # require a genuine improvement; float-noise ties keep the earlier
-        # (spectral) candidate
-        if val > best_val + 1e-12 * (1.0 + abs(best_val)):
-            best_w, best_val = w, val
-
-    # spectral candidate: the optimal dual density, read as a step spectrum
-    # (z is constant on value classes, nonincreasing against sorted values)
     _, zstar = dual_higher_order(x, c, q)
     breaks, first_idx = _distribution_breaks(x)
     sigma = zstar.values[first_idx]
-    w_spec = np.zeros(m)
-    pos = np.searchsorted(levels, breaks)
-    drops = sigma - np.concatenate([sigma[1:], [0.0]])
-    np.add.at(w_spec, pos, breaks * np.clip(drops, 0.0, None))
-    consider(w_spec)
-
-    # feasible point masses
-    singleton_ok = levels ** (1.0 - q) <= cq
-    for i in np.flatnonzero(singleton_ok):
-        w = np.zeros(m)
-        w[i] = 1.0
-        consider(w)
-
-    # projected subgradient with restoration (seeded, diminishing steps)
-    rng = np.random.default_rng(seed)
-    w = np.zeros(m)
-    w[-1] = 1.0
-    direction = avars / max(1.0, float(np.max(np.abs(avars))))
-    for k in range(subgradient_iters):
-        step = 1.0 / math.sqrt(1.0 + k)
-        w = _project_simplex(w + step * direction + 1e-12 * rng.standard_normal(m))
-        if w.sum() <= 0:
-            w = np.zeros(m)
-            w[-1] = 1.0
-        consider(w)
-        w = _restore_feasible(np.clip(w, 0.0, None) + 1e-300, levels, q, cq)
-
-    return best_val, MixingMeasure(levels, best_w)
+    w = breaks * (sigma - np.append(sigma[1:], 0.0))
+    keep = w > 0.0
+    # breakpoints that round together (or past 1) merge into one level
+    levels, inverse = np.unique(np.minimum(breaks[keep], 1.0), return_inverse=True)
+    mu = MixingMeasure(levels, np.bincount(inverse, weights=w[keep]))
+    constraint = kusuoka_constraint(mu, q)
+    if constraint > c ** q * (1.0 + 1e-12):
+        raise ScenRiskError(
+            f"Kusuoka certificate failed: constraint {constraint!r} exceeds c**q = {c ** q!r}"
+        )
+    return float(mu.weights @ avar_many(x, mu.levels)), mu

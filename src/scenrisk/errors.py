@@ -27,3 +27,7 @@ class UnresolvedConjugateError(ScenRiskError):
 
 class InvalidOrliczError(ScenRiskError):
     """A scalar function violates the required shape axioms."""
+
+
+class ParameterError(ScenRiskError, ValueError):
+    """An argument lies outside its domain (also a ValueError for callers that catch that)."""

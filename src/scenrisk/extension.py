@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import SpaceTooCoarseError
+from .errors import ParameterError, SpaceTooCoarseError
 from .prob_core import (
     FiniteProbSpace,
     Partition,
@@ -73,7 +73,7 @@ def extend_sup(rho: Callable, x: RandomVariable, budget: int, seed: int) -> Exte
     convergence diagnostic.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise ParameterError("budget must be >= 1")
     space = x.space
     rng = np.random.default_rng(seed)
     candidates: List[Tuple[str, Partition]] = [("trivial", Partition.trivial(space))]
@@ -103,7 +103,7 @@ def refinement_convergence(rho: Callable, x: RandomVariable, depth: int) -> List
     distinct values of x.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ParameterError("depth must be >= 1")
     out = []
     for j, p in enumerate(dyadic_chain(x.space, x, depth), start=1):
         coarse = cond_exp(x, p)
@@ -135,7 +135,7 @@ def lemma21_sequence(x: RandomVariable, n_max: int) -> List[Tuple[Partition, flo
     member), and lump A with the tail into one closing cell.
     """
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise ParameterError("n_max must be >= 2")
     space = x.space
     probs = space.probs
     vals = x.values

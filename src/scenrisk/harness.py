@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .duality import dual_higher_order, kusuoka_value
-from .errors import ScenRiskError
+from .errors import ParameterError, ScenRiskError
 from .extension import (
     ConvergencePoint,
     discretization_slack,
@@ -54,14 +54,17 @@ class ScenarioTable:
         if name is None:
             name = self.names[0]
         if name not in self.columns:
-            raise KeyError(f"no column named {name!r}; have {list(self.names)}")
+            raise ScenRiskError(f"no column named {name!r}; have {list(self.names)}")
         return self.columns[name]
 
 
 def ingest_csv(path: str) -> ScenarioTable:
     """Parse and validate a scenario CSV; errors carry the offending row number."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ScenRiskError(f"{path}: cannot read: {exc}") from exc
     if not rows:
         raise ScenRiskError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -70,6 +73,9 @@ def ingest_csv(path: str) -> ScenarioTable:
     names = tuple(header[1:])
     if not names:
         raise ScenRiskError(f"{path}: need at least one value column")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ScenRiskError(f"{path}: duplicate column name {name!r}")
     probs: List[float] = []
     cols: List[List[float]] = [[] for _ in names]
     for rownum, row in enumerate(rows[1:], start=2):
@@ -134,7 +140,6 @@ class BatteryConfig:
     trials: int = 25
     seed: int = DEFAULT_SEED
     tolerance: float = 1e-7
-    kusuoka_grid: int = 64
 
     def rho_pool(self) -> List[RiskFunctional]:
         pool: List[RiskFunctional] = []
@@ -149,7 +154,7 @@ class BatteryConfig:
                 pool.append(RiskFunctional.transformed(
                     OrliczTriple.checked(linear(2.0), power(2.0), positive_part())))
             else:
-                raise ValueError(f"unknown family {fam!r}")
+                raise ParameterError(f"unknown family {fam!r}")
         return pool
 
 
@@ -270,8 +275,7 @@ def run_battery(table: ScenarioTable, config: BatteryConfig = BatteryConfig(),
     for i in range(min(config.trials, 5)):
         x = variables[i % len(variables)]
         primal = higher_order_T(x, 2.0, 2.0)
-        val, _ = kusuoka_value(x, 2.0, 2.0, grid_size=config.kusuoka_grid,
-                               seed=config.seed + i, subgradient_iters=40)
+        val, _ = kusuoka_value(x, 2.0, 2.0)
         gap = max(val - (primal + 1e-6), (primal - 1e-3) - val)
         if gap > worst:
             worst, wl, wr, wseed = gap, val, primal, config.seed + i
@@ -331,7 +335,7 @@ def emit_report(report: RunReport, format: str = "text",
                 out.write(f"{pt.level},{pt.value:.17g},{pt.l1_gap:.17g}\n")
         return out.getvalue().encode()
     if format != "text":
-        raise ValueError(f"unsupported report format {format!r}")
+        raise ParameterError(f"unsupported report format {format!r}")
     out = io.StringIO()
     out.write("scenrisk-report 1\n")
     out.write(f"command: {report.command}\n")

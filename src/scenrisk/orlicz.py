@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidOrliczError
+from .errors import InvalidOrliczError, ParameterError
 from .prob_core import RandomVariable
 from .scalarmin import golden_section
 
@@ -96,7 +96,7 @@ def _scaled_power(coef: float, p: float) -> OrliczFunction:
 def power(p: float) -> OrliczFunction:
     """G(x) = x**p.  ``power(1)`` degenerates to ``linear(1)``."""
     if p < 1:
-        raise ValueError("power exponent must be >= 1")
+        raise ParameterError("power exponent must be >= 1")
     if p == 1:
         return linear(1.0)
     return _scaled_power(1.0, p)
@@ -105,7 +105,7 @@ def power(p: float) -> OrliczFunction:
 def linear(slope: float) -> OrliczFunction:
     """G(x) = slope * x; conjugate is the 0/inf indicator of [0, slope]."""
     if slope <= 0:
-        raise ValueError("slope must be positive")
+        raise ParameterError("slope must be positive")
     return OrliczFunction(
         name="linear",
         params=(slope,),
@@ -119,7 +119,7 @@ def linear(slope: float) -> OrliczFunction:
 def cap_at(threshold: float) -> OrliczFunction:
     """G(x) = 0 for x <= threshold, inf above (left-continuous jump)."""
     if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+        raise ParameterError("threshold must be >= 0")
 
     def conj():
         if threshold == 0.0:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import SpaceMismatchError, UnsupportedSpaceError
+from .errors import ParameterError, SpaceMismatchError, UnsupportedSpaceError
 
 PROB_SUM_TOL = 1e-9
 
@@ -277,7 +277,7 @@ def dyadic_chain(space: FiniteProbSpace, x: RandomVariable, depth: int):
     """
     _require_same_space(space, x.space, "dyadic_chain")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ParameterError("depth must be >= 1")
     _, inverse = np.unique(x.values, return_inverse=True)
     class_prob = np.bincount(inverse, weights=space.probs)
     left_cum = np.concatenate([[0.0], np.cumsum(class_prob)[:-1]])
@@ -295,7 +295,7 @@ def quantile_var(x: RandomVariable, t: float) -> float:
     values; no interpolation.  Piecewise constant in ``t``.
     """
     if not (0.0 < t <= 1.0):
-        raise ValueError("t must lie in (0, 1]")
+        raise ParameterError("t must lie in (0, 1]")
     distinct, inverse = np.unique(x.values, return_inverse=True)
     class_prob = np.bincount(inverse, weights=x.space.probs)
     below = np.concatenate([[0.0], np.cumsum(class_prob)[:-1]])
@@ -317,7 +317,7 @@ def cell_shuffle_average(x: RandomVariable, p: Partition, j: int) -> RandomVaria
         )
     full = math.lcm(*(len(c) for c in p.cells))
     if not (1 <= j <= full):
-        raise ValueError(f"j must lie in [1, {full}] (lcm of cell sizes)")
+        raise ParameterError(f"j must lie in [1, {full}] (lcm of cell sizes)")
     acc = np.zeros(x.space.atom_count)
     idx_cells = [np.asarray(c, dtype=int) for c in p.cells]
     for r in range(j):

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CoercivityError
+from .errors import CoercivityError, ParameterError
 from .orlicz import (
     HFunction,
     OrliczFunction,
@@ -86,7 +86,7 @@ class RiskFunctional:
     @classmethod
     def avar(cls, alpha: float) -> "RiskFunctional":
         if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ParameterError("alpha must lie in (0, 1]")
         return cls(kind="avar", alpha=alpha, label=f"avar({alpha:g})")
 
     @classmethod
@@ -118,9 +118,9 @@ def _check_higher_order_params(c: float, p: float):
     if p == 1.0:
         # documented degenerate mode: c = 1/alpha reproduces AVaR_alpha
         if c < 1.0:
-            raise ValueError("with p = 1, c must be >= 1 (AVaR mode c = 1/alpha)")
+            raise ParameterError("with p = 1, c must be >= 1 (AVaR mode c = 1/alpha)")
     elif not (c > 1.0 and p > 1.0):
-        raise ValueError("higher-order measure needs c > 1 and p > 1")
+        raise ParameterError("higher-order measure needs c > 1 and p > 1")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def avar(x: RandomVariable, alpha: float) -> float:
     sum over sorted atoms -- no quadrature error.
     """
     if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+        raise ParameterError("alpha must lie in (0, 1]")
     order = np.argsort(x.values, kind="stable")
     v = x.values[order]
     pr = x.space.probs[order]

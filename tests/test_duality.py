@@ -14,13 +14,13 @@ from scenrisk import (
     RandomVariable,
     RiskFunctional,
     UnresolvedConjugateError,
+    avar,
     conjugate_dilatation_check,
     conjugate_sharp,
     dual_higher_order,
     fenchel_gap,
     higher_order_T,
     kusuoka_constraint,
-    kusuoka_levels,
     kusuoka_value,
     linear,
     positive_part,
@@ -281,6 +281,23 @@ def test_dual_stress_wide_parameters():
     assert worst_excess <= 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_q_norm_scales_before_the_power():
+    probs = np.array([0.5, 0.5])
+    assert _q_norm(np.array([1e3, 2.0]), probs, 150.0) == pytest.approx(
+        1e3 * 0.5 ** (1.0 / 150.0), rel=1e-12)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        space = FiniteProbSpace.from_weights(rng.uniform(0.1, 1.0, size=n))
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        q = float(rng.choice([1.5, 2.0, 3.0, 10.0, 50.0]))
+        with np.errstate(all="ignore"):
+            unscaled = float((space.probs @ np.abs(v) ** q) ** (1.0 / q))
+        if math.isfinite(unscaled) and unscaled > 0.0:
+            assert _q_norm(v, space.probs, q) == pytest.approx(unscaled, rel=1e-12)
+
+
 def test_projected_gradient_fallback_agrees():
     from scenrisk.duality import _fallback_projected
     space = FiniteProbSpace.uniform(5)
@@ -345,13 +362,8 @@ def test_kusuoka_constraint_matches_definition():
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def test_kusuoka_levels_contain_breakpoints(coin):
-    levels = kusuoka_levels(coin, 64)
-    assert 0.5 in levels and 1.0 in levels
-
-
 def test_kusuoka_exemplar_attains_primal(coin):
-    value, mu = kusuoka_value(coin, 2.0, 2.0, grid_size=256, seed=0)
+    value, mu = kusuoka_value(coin, 2.0, 2.0)
     primal = higher_order_T(coin, 2.0, 2.0)
     assert abs(value - primal) <= 1e-9
     # the point mass at 1/2 is feasible (constraint 2 <= 4) and attains it
@@ -361,24 +373,60 @@ def test_kusuoka_exemplar_attains_primal(coin):
 
 def test_kusuoka_constant(uniform4):
     x = RandomVariable.constant(uniform4, 2.0)
-    value, _ = kusuoka_value(x, 2.0, 2.0, grid_size=32, seed=0)
+    value, _ = kusuoka_value(x, 2.0, 2.0)
     assert value == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_kusuoka_monotone_under_grid_refinement():
-    rng = np.random.default_rng(12)
-    space = FiniteProbSpace.uniform(8)
-    x = RandomVariable(space, rng.normal(scale=2.0, size=8))
-    primal = higher_order_T(x, 2.0, 2.0)
-    v64, _ = kusuoka_value(x, 2.0, 2.0, grid_size=64, seed=0, subgradient_iters=40)
-    v256, _ = kusuoka_value(x, 2.0, 2.0, grid_size=256, seed=0, subgradient_iters=40)
-    assert v64 <= v256 + 1e-9
-    assert v256 <= primal + 1e-6
-
-
 def test_kusuoka_measure_is_feasible(coin):
-    value, mu = kusuoka_value(coin, 2.0, 2.0, grid_size=64, seed=0)
+    value, mu = kusuoka_value(coin, 2.0, 2.0)
     assert kusuoka_constraint(mu, 2.0) <= 2.0 ** 2 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("space", [
+    # the middle atom is too light to move the cumulative probability 0.5
+    FiniteProbSpace(np.array([0.5, 1e-20, 0.5])),
+    # the cumulative probability before the light last atom rounds past 1
+    FiniteProbSpace.from_weights(np.array([0.236, 0.3, 0.4, 1e-25])),
+])
+def test_kusuoka_merges_breakpoints_that_round_together(space):
+    x = RandomVariable(space, np.arange(space.atom_count, dtype=float))
+    value, mu = kusuoka_value(x, 1.05, 2.0)
+    assert mu.levels[-1] == 1.0
+    assert value == pytest.approx(higher_order_T(x, 1.05, 2.0), abs=1e-9)
+
+@st.composite
+def books(draw):
+    """Books of 1-500 atoms: uniform or gamma weights, values with or
+    without ties on a half-unit grid."""
+    n = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        space = FiniteProbSpace.uniform(n)
+    else:
+        shape = draw(st.sampled_from([0.3, 1.0, 5.0]))
+        space = FiniteProbSpace.from_weights(rng.gamma(shape, size=n) + 1e-9)
+    values = rng.standard_t(4, size=n) * draw(st.sampled_from([0.01, 1.0, 100.0]))
+    if draw(st.booleans()):
+        values = np.round(values * 2.0) / 2.0
+    return RandomVariable(space, values)
+
+
+@given(books(), st.sampled_from([1.5, 2.0, 4.0]), st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_kusuoka_read_off_is_exact_and_feasible(x, c, p):
+    q = p / (p - 1.0)
+    value, mu = kusuoka_value(x, c, p)
+    primal = higher_order_T(x, c, p)
+    assert abs(value - primal) <= 1e-9 * max(1.0, abs(primal))
+    assert kusuoka_constraint(mu, q) <= c ** q * (1.0 + 1e-12)
+    distinct, inverse = np.unique(x.values, return_inverse=True)
+    breaks = np.cumsum(np.bincount(inverse, weights=x.space.probs))
+    assert np.all(np.min(np.abs(mu.levels[:, None] - breaks[None, :]), axis=1) <= 1e-12)
+    # no feasible point mass at a breakpoint does better than the mixture
+    slack = 1e-9 * max(1.0, abs(value))
+    for a in np.minimum(breaks, 1.0):
+        if a ** (1.0 - q) <= c ** q:
+            assert avar(x, a) <= value + slack
 
 
 # ---------------------------------------------------------------------------

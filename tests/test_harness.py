@@ -61,6 +61,24 @@ def test_ingest_errors_carry_row_numbers(tmp_path):
         ingest_csv(path)
 
 
+def test_ingest_rejects_duplicate_column_names(tmp_path):
+    path = write_csv(tmp_path, "probability,pnl,hedge,pnl\n1.0,1,2,3\n")
+    with pytest.raises(ScenRiskError, match="duplicate column name 'pnl'"):
+        ingest_csv(path)
+
+
+def test_ingest_unreadable_file_is_a_clean_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(ScenRiskError, match="cannot read"):
+        ingest_csv(missing)
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"probability,x\n\xff\xfe,1\n")
+    with pytest.raises(ScenRiskError, match="cannot read"):
+        ingest_csv(str(binary))
+    assert main(["eval", missing]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_ingest_requires_probability_header(tmp_path):
     path = write_csv(tmp_path, "prob,x\n1.0,1\n")
     with pytest.raises(ScenRiskError, match="probability"):
@@ -235,12 +253,34 @@ def test_cli_dual(capsys):
 
 
 def test_cli_kusuoka(capsys):
-    rc = main(["kusuoka", str(DATA / "uniform4.csv"), "--c", "2", "--p", "2",
-               "--grid", "64"])
+    rc = main(["kusuoka", str(DATA / "uniform4.csv"), "--c", "2", "--p", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     gap = float(re.search(r"gap: ([-\d.e+]+)", out).group(1))
-    assert abs(gap) <= 1e-3
+    assert abs(gap) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    (["eval", "--column", "nosuch"], None),
+    (["eval", "--alpha", "2"], None),
+    (["eval", "--measure", "higher_order", "--c", "0.5"], None),
+    (["extend", "--depth", "0"], None),
+    (["dual", "--p", "1"], None),
+    (["kusuoka", "--p", "1"], None),
+    (["kusuoka", "--c", "1"], None),
+    (["eval"], "abc"),
+])
+def test_cli_bad_request_exits_2_with_one_error_line(argv, env_seed, monkeypatch, capsys):
+    if env_seed is not None:
+        monkeypatch.setenv("SCENRISK_SEED", env_seed)
+    verb, *rest = argv
+    rc = main([verb, str(DATA / "uniform4.csv"), *rest])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    # parameters are validated before any result line is printed
+    assert all(line.startswith("seed:") for line in captured.out.splitlines())
 
 
 def test_cli_lemma21_fine_and_coarse(tmp_path, capsys):
