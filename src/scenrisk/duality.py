@@ -21,14 +21,14 @@ once as its certificate.
 
 from __future__ import annotations
 
+import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError
+from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError, require_finite
 from .orlicz import orlicz_norm, perspective
 from .prob_core import FiniteProbSpace, Partition, RandomVariable, cond_exp
 from .risk_core import OrliczTriple, RiskFunctional, avar_many
@@ -108,6 +108,11 @@ def _direction_norm(v: np.ndarray, probs: np.ndarray, q: float) -> float:
     """q-norm of a density-dual search direction: its entries lie in [0, 1]
     and peak at exactly one, so the power needs no scaling."""
     return float((probs @ v ** q) ** (1.0 / q))
+
+
+def _mass_excess(v: np.ndarray, probs: np.ndarray, c: float, q: float) -> float:
+    """E[Z] - 1 for the direction v rescaled onto the sphere ||Z||_q = c."""
+    return c * float(probs @ v) / _direction_norm(v, probs, q) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +321,7 @@ def _enter_at_kink(d, probs, c, q, r, tau_e):
     entering = (-d == tau_e)
 
     def mass(w: float) -> float:
-        vw = np.where(entering, w, v)
-        return c * float(probs @ vw) / _direction_norm(vw, probs, q) - 1.0
+        return _mass_excess(np.where(entering, w, v), probs, c, q)
 
     if mass(0.0) >= 0.0:
         return v
@@ -333,31 +337,14 @@ def _enter_at_kink(d, probs, c, q, r, tau_e):
     return np.where(entering, 0.5 * (w_lo + w_hi), v)
 
 
-def _fallback_projected(a, probs, c, q, iters=4000):
-    """Projected-gradient fallback for the density problem; 1e-5 grade."""
-    n = a.size
-    z = np.ones(n)
-    best_z, best_v = z.copy(), float(probs @ (a * z))
-    step = 1.0 / max(1.0, float(np.max(np.abs(a))))
-    for k in range(iters):
-        z = z + step * a / math.sqrt(1.0 + k)
-        z = np.clip(z, 0.0, None)
-        s = float(probs @ z)
-        z = z / s if s > 0 else np.ones(n)
-        if _q_norm(z, probs, q) > c:
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                cand = (1.0 - mid) * z + mid * np.ones(n)
-                if _q_norm(cand, probs, q) <= c:
-                    hi = mid
-                else:
-                    lo = mid
-            z = (1.0 - hi) * z + hi * np.ones(n)
-        v = float(probs @ (a * z))
-        if v > best_v:
-            best_z, best_v = z.copy(), v
-    return best_v, best_z
+def _root_segment(excess: Callable[[float], float], entries: np.ndarray):
+    """Consecutive sorted entries (lo, hi) with excess(lo) <= 0 < excess(hi),
+    by bisection; hi is None when the excess stays <= 0 through the last one."""
+    if entries.size == 0 or excess(float(entries[0])) > 0.0:
+        raise ScenRiskError("density dual: no bracket below the first entry")
+    k = bisect.bisect_left(range(entries.size), True, lo=1,
+                           key=lambda i: excess(float(entries[i])) > 0.0)
+    return float(entries[k - 1]), float(entries[k]) if k < entries.size else None
 
 
 def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Density]:
@@ -366,10 +353,13 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
     Interior case: the vertex Z = 1_{X = min X} / P(min) when its q-norm
     already fits inside the ball.  Active case: Z is proportional to
     ((a - lam)^+)^{1/(q-1)} with a = -X, rescaled onto the sphere; the mass
-    constraint E[Z] = 1 pins lam by bisection (the mass of the rescaled
-    direction is nonincreasing in lam).  The optimum value matches the primal
-    hull within 1e-7 (strong duality), and Z is returned as the certificate.
+    constraint E[Z] = 1 pins lam: its excess is monotone in lam, so bisection
+    over the sorted support-entry ladder finds the root's segment in O(log N)
+    evaluations (no bracket raises ScenRiskError) and a relative zoom resolves
+    the root in it.  The optimum value matches the primal hull within 1e-7
+    (strong duality), and Z is returned as the certificate.
     """
+    require_finite(c=c, q=q)
     if not (c > 1.0 and q > 1.0):
         raise ParameterError("need c > 1 and q = p/(p-1) > 1")
     probs = x.space.probs
@@ -389,9 +379,7 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
     d = a - amax
 
     def mass_excess(tau: float) -> float:
-        u = np.clip(d + tau, 0.0, None)
-        v = (u / tau) ** r
-        return c * float(probs @ v) / _direction_norm(v, probs, q) - 1.0
+        return _mass_excess((np.clip(d + tau, 0.0, None) / tau) ** r, probs, c, q)
 
     def finish(v: np.ndarray):
         z = c * v / _direction_norm(v, probs, q)
@@ -401,32 +389,17 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
 
     # atoms join the support as tau crosses the entry ladder -d_i > 0; the
     # mass excess is continuous and nondecreasing in tau, constant before the
-    # first entry, with limit c - 1 > 0, so the root's segment is found by
-    # exact sign evaluation at the entries (u vanishes exactly there)
-    entries = np.unique(-d[d < 0.0])
-    seg_lo, seg_hi = None, None
-    for tau_e in entries:
-        if mass_excess(float(tau_e)) > 0.0:
-            seg_hi = float(tau_e)
-            break
-        seg_lo = float(tau_e)
-    if seg_lo is None:
-        warnings.warn("density dual: no bracket; projected-gradient fallback")
-        val, z = _fallback_projected(a, probs, c, q)
-        z = z / float(probs @ z)
-        return float(probs @ (a * z)), Density(x.space, z)
-    if seg_hi is None:
-        # root beyond the last entry: all atoms active, no kink ahead
+    # first entry, with limit c - 1 > 0, so bisecting its exact signs at the
+    # entries (u vanishes exactly there) finds the root's segment
+    seg_lo, seg_hi = _root_segment(mass_excess, np.unique(-d[d < 0.0]))
+    if seg_hi is None:  # root beyond the last entry: all atoms active, no kink ahead
         seg_hi = 2.0 * seg_lo
         for _ in range(200):
             if mass_excess(seg_hi) > 0.0:
                 break
             seg_hi *= 2.0
         else:
-            warnings.warn("density dual: no bracket; projected-gradient fallback")
-            val, z = _fallback_projected(a, probs, c, q)
-            z = z / float(probs @ z)
-            return float(probs @ (a * z)), Density(x.space, z)
+            raise ScenRiskError("density dual: no bracket beyond the last entry")
 
     # zoom in the distance delta to the lower kink: the entering coordinate
     # grows like delta**r (infinite slope when q > 2), so the root needs
@@ -435,15 +408,11 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
     # ulp(seg_lo) and reintroduce the cancellation this stage exists to avoid.
     base = d + seg_lo
 
-    def excess_at(delta: float) -> float:
-        u = np.clip(base + delta, 0.0, None)
-        tau = seg_lo + delta
-        v = (u / tau) ** r
-        return c * float(probs @ v) / _direction_norm(v, probs, q) - 1.0
-
     def dir_at(delta: float) -> np.ndarray:
-        u = np.clip(base + delta, 0.0, None)
-        return (u / (seg_lo + delta)) ** r
+        return (np.clip(base + delta, 0.0, None) / (seg_lo + delta)) ** r
+
+    def excess_at(delta: float) -> float:
+        return _mass_excess(dir_at(delta), probs, c, q)
 
     delta_hi = seg_hi - seg_lo
     delta_lo = None
@@ -581,6 +550,7 @@ def kusuoka_value(x: RandomVariable, c: float, p: float) -> Tuple[float, MixingM
     :func:`kusuoka_constraint` is evaluated once as the certificate; a measure
     over c**q beyond relative float noise raises rather than being repaired.
     """
+    require_finite(c=c, p=p)
     if not (c > 1.0 and p > 1.0):
         raise ParameterError("need c > 1 and p > 1")
     q = p / (p - 1.0)

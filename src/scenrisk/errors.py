@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ScenRiskError(Exception):
     """Base class for all scenrisk errors."""
@@ -31,3 +33,10 @@ class InvalidOrliczError(ScenRiskError):
 
 class ParameterError(ScenRiskError, ValueError):
     """An argument lies outside its domain (also a ValueError for callers that catch that)."""
+
+
+def require_finite(**params: float) -> None:
+    """Raise ParameterError naming the first parameter that is not a finite number."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")

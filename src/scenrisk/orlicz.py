@@ -418,7 +418,7 @@ def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
     pr = x.space.probs
     if g.name == "power":
         p, coef = g.params
-        return float((coef * (pr @ a ** p)) ** (1.0 / p))
+        return amax * float((coef * (pr @ (a / amax) ** p)) ** (1.0 / p))
     if g.name == "linear":
         return float(g.params[0] * (pr @ a))
     if g.name == "cap":

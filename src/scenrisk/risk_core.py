@@ -5,12 +5,14 @@ and a loss reshaper H:
 
     T(X) = inf_s { F(||H(s - X)||_G) - s },
 
-the cash-additive hull of f(X) = F(||H(-X)||_G).  The slope condition
-(FGH2) makes the hull objective coercive so the infimum is attained; (FGH1)
-rules out an identically-infinite T.  Both are probed by checkers returning
-a tri-state, because a numeric probe can certify growth (convexity gives
-certified slope lower bounds) but refuting a limit statement needs analytic
-slope data.
+the cash-additive hull of f(X) = F(||H(-X)||_G), computed by the generic
+:func:`cash_hull`; the higher-order member T_{c,p} has its own kernel on the
+plain value array, :func:`higher_order_T`, with ``cash_hull`` as the tests'
+slow reference.  The slope condition (FGH2) makes the hull objective
+coercive so the infimum is attained; (FGH1) rules out an identically-infinite
+T.  Both are probed by checkers returning a tri-state, because a numeric
+probe can certify growth (convexity gives certified slope lower bounds) but
+refuting a limit statement needs analytic slope data.
 """
 
 from __future__ import annotations
@@ -22,16 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CoercivityError, ParameterError
-from .orlicz import (
-    HFunction,
-    OrliczFunction,
-    g_inv_one,
-    linear,
-    luxemburg_norm,
-    positive_part,
-    power,
-)
+from .errors import CoercivityError, ParameterError, require_finite
+from .orlicz import HFunction, OrliczFunction, g_inv_one, luxemburg_norm
 from .prob_core import RandomVariable
 from .scalarmin import BracketError, bracket_minimum, golden_section, scan_finite
 
@@ -115,6 +109,7 @@ class RiskFunctional:
 
 
 def _check_higher_order_params(c: float, p: float):
+    require_finite(c=c, p=p)
     if p == 1.0:
         # documented degenerate mode: c = 1/alpha reproduces AVaR_alpha
         if c < 1.0:
@@ -232,19 +227,43 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
 
 
 def higher_order_T(x: RandomVariable, c: float, p: float) -> float:
-    """inf_s {c * ||(s - X)^+||_p - s}:  the transformed-norm measure with
-    F = c*x, G = x**p, H = x^+.
+    """inf_s phi(s), phi(s) = c ||(s - X)^+||_p - s (F = c*x, G = x**p, H = x^+).
 
-    ``p = 1`` is admitted solely as the AVaR cross-check mode (c = 1/alpha);
-    at the boundary c = 1 the objective flattens instead of growing and the
-    hull is taken directly.
+    ``p = 1`` is AVaR_{1/c} by Rockafellar-Uryasev (-E[X] at c = 1).  For
+    p > 1 the vertex s = min X is optimal when the right slope of the convex
+    phi there, c P(X = min X)**(1/p) - 1, is nonnegative.  Otherwise the sign
+    of phi'(s) = c E[w^(p-1)] / E[w^p]^((p-1)/p) - 1, w = (s - X)^+ / (s - min X),
+    which tends to c - 1 > 0, is bisected until the midpoint no longer splits.
     """
     _check_higher_order_params(c, p)
-    triple = OrliczTriple(f=linear(c), g=power(p), h=positive_part())
-    if p == 1.0 and c == 1.0:
-        value, _ = cash_hull(lambda y: f_transformed(y, triple), x)
-        return value
-    return transformed_T(x, replace(triple, fgh2=TriState.HOLDS))
+    if p == 1.0:
+        return avar(x, 1.0 / c)
+    v, probs = x.values, x.space.probs
+    m = float(v.min())
+    if c * float(probs[v == m].sum()) ** (1.0 / p) >= 1.0:
+        return -m
+
+    def w_at(s: float) -> np.ndarray:  # (s - X)^+ scaled to peak at one, for s > m
+        return np.maximum(s - v, 0.0) / (s - m)
+
+    def phi(s: float) -> float:
+        return c * (s - m) * float(probs @ w_at(s) ** p) ** (1.0 / p) - s
+
+    def slope(s: float) -> float:
+        w = w_at(s)
+        wp1 = w ** (p - 1.0)
+        return c * float(probs @ wp1) / float(probs @ (wp1 * w)) ** ((p - 1.0) / p) - 1.0
+
+    width = float(v.max()) - m
+    while slope(m + width) <= 0.0:
+        width *= 2.0
+    lo, hi = m, m + width
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if slope(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return min(phi(lo) if lo > m else -m, phi(hi))
 
 
 # ---------------------------------------------------------------------------

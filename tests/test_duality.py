@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scenrisk import (
     Partition,
     RandomVariable,
     RiskFunctional,
+    ScenRiskError,
     UnresolvedConjugateError,
     avar,
     conjugate_dilatation_check,
@@ -27,7 +29,7 @@ from scenrisk import (
     power,
     t_sharp_eta,
 )
-from scenrisk.duality import _q_norm
+from scenrisk.duality import _q_norm, _root_segment
 
 from conftest import variables
 
@@ -298,15 +300,35 @@ def test_q_norm_scales_before_the_power():
             assert _q_norm(v, space.probs, q) == pytest.approx(unscaled, rel=1e-12)
 
 
-def test_projected_gradient_fallback_agrees():
-    from scenrisk.duality import _fallback_projected
-    space = FiniteProbSpace.uniform(5)
-    rng = np.random.default_rng(6)
-    x = RandomVariable(space, rng.normal(size=5))
-    exact, _ = dual_higher_order(x, 2.0, 2.0)
-    approx, z = _fallback_projected(-x.values, space.probs, 2.0, 2.0)
-    assert approx <= exact + 1e-9  # feasible iterates never beat the optimum
-    assert exact - approx <= 1e-3
+def test_strong_duality_on_a_large_book():
+    rng = np.random.default_rng(77)
+    n = 10_000
+    space = FiniteProbSpace.from_weights(rng.gamma(2.0, size=n))
+    x = RandomVariable(space, rng.standard_t(3, size=n))
+    for c, p in ((1.5, 2.0), (2.0, 3.0), (4.0, 1.5)):
+        q = p / (p - 1.0)
+        dual, z = dual_higher_order(x, c, q)
+        assert abs(higher_order_T(x, c, p) - dual) <= 1e-7
+        assert _q_norm(z.values, space.probs, q) <= c * (1.0 + 1e-12)
+
+
+def test_dual_and_kusuoka_reject_non_finite_parameters(coin):
+    for name, call in (("q", lambda: dual_higher_order(coin, 2.0, INF)),
+                       ("c", lambda: dual_higher_order(coin, math.nan, 2.0)),
+                       ("p", lambda: kusuoka_value(coin, 2.0, INF)),
+                       ("c", lambda: kusuoka_value(coin, INF, 2.0))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call()
+
+
+def test_root_segment_brackets_or_raises():
+    entries = np.array([1.0, 2.0, 4.0])
+    with pytest.raises(ScenRiskError):
+        _root_segment(lambda tau: 1.0, entries)
+    with pytest.raises(ScenRiskError):
+        _root_segment(lambda tau: -1.0, np.array([]))
+    assert _root_segment(lambda tau: -1.0, entries) == (4.0, None)
+    assert _root_segment(lambda tau: tau - 3.0, entries) == (2.0, 4.0)
 
 
 def test_t_sharp_eta_generic_path_runs():
@@ -427,6 +449,32 @@ def test_kusuoka_read_off_is_exact_and_feasible(x, c, p):
     for a in np.minimum(breaks, 1.0):
         if a ** (1.0 - q) <= c ** q:
             assert avar(x, a) <= value + slack
+
+
+def _linear_scan(excess, entries):
+    """The root's segment found one entry at a time: the slow reference."""
+    seg_lo = None
+    for tau_e in entries:
+        if excess(float(tau_e)) > 0.0:
+            return seg_lo, float(tau_e)
+        seg_lo = float(tau_e)
+    return seg_lo, None
+
+
+@given(books(), st.sampled_from([1.05, 1.5, 2.0, 4.0]), st.sampled_from([1.2, 1.5, 2.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_dual_bisected_segment_matches_a_linear_scan(x, c, p):
+    calls = []
+
+    def recording(excess, entries):
+        seg = _root_segment(excess, entries)
+        calls.append((excess, entries, seg))
+        return seg
+
+    with mock.patch("scenrisk.duality._root_segment", recording):
+        dual_higher_order(x, c, p / (p - 1.0))
+    for excess, entries, seg in calls:
+        assert seg == _linear_scan(excess, entries)
 
 
 # ---------------------------------------------------------------------------

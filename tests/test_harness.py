@@ -269,6 +269,10 @@ def test_cli_kusuoka(capsys):
     (["kusuoka", "--p", "1"], None),
     (["kusuoka", "--c", "1"], None),
     (["eval"], "abc"),
+    (["eval", "--measure", "higher_order", "--p", "inf"], None),
+    (["dual", "--p", "inf"], None),
+    (["kusuoka", "--c", "inf"], None),
+    (["eval", "--measure", "higher_order", "--c", "nan"], None),
 ])
 def test_cli_bad_request_exits_2_with_one_error_line(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
@@ -279,6 +283,9 @@ def test_cli_bad_request_exits_2_with_one_error_line(argv, env_seed, monkeypatch
     err = captured.err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:")
+    for flag, value in zip(rest, rest[1:]):
+        if value in ("inf", "nan"):
+            assert f"{flag[2:]} must be finite" in err[0]
     # parameters are validated before any result line is printed
     assert all(line.startswith("seed:") for line in captured.out.splitlines())
 

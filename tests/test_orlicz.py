@@ -199,6 +199,22 @@ def test_luxemburg_power_equals_lp(x):
         assert luxemburg_norm(x, power(p)) == pytest.approx(lp, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_luxemburg_power_scales_before_the_power():
+    x = RandomVariable(FiniteProbSpace.uniform(2), np.array([1e3, 2.0]))
+    assert luxemburg_norm(x, power(150)) == pytest.approx(1e3 * 0.5 ** (1.0 / 150.0), rel=1e-12)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        space = FiniteProbSpace.from_weights(rng.uniform(0.1, 1.0, size=n))
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        p = float(rng.choice([1.5, 2.0, 3.0, 10.0, 50.0]))
+        with np.errstate(all="ignore"):
+            unscaled = float((space.probs @ np.abs(v) ** p) ** (1.0 / p))
+        if math.isfinite(unscaled) and unscaled > 0.0:
+            assert luxemburg_norm(RandomVariable(space, v), power(p)) == pytest.approx(unscaled, rel=1e-12)
+
+
 @given(variables(lo=-10, hi=10, max_atoms=6))
 @settings(max_examples=60, deadline=None)
 def test_luxemburg_bisection_agrees_with_closed_form(x):

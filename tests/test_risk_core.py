@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenrisk import (
@@ -208,6 +208,46 @@ def test_higher_order_examples(coin, uniform4):
     assert higher_order_T(x, 2.0, 1.0) == pytest.approx(avar(x, 0.5), abs=1e-9)
 
 
+@st.composite
+def hull_books(draw):
+    """Books of 1-500 atoms at scales 1e-6 to 1e6: distinct values, ties,
+    ulp-near ties, or tiny and subnormal values mixed in."""
+    n = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        space = FiniteProbSpace.uniform(n)
+    else:
+        space = FiniteProbSpace.from_weights(rng.gamma(draw(st.sampled_from([0.3, 2.0])), size=n) + 1e-9)
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    values = rng.standard_t(3, size=n) * scale
+    kind = draw(st.sampled_from(["distinct", "ties", "near_ties", "tiny"]))
+    if kind == "ties":
+        values = np.round(values * 2.0 / scale) * scale / 2.0
+    elif kind == "near_ties":
+        base = values[rng.integers(0, max(1, n // 3), size=n)]
+        values = base + rng.integers(-2, 3, size=n) * np.spacing(base)
+    elif kind == "tiny":
+        tiny = rng.random(n) < 0.3
+        values[tiny] = rng.choice([-1e-172, 1e-172, 0.0, -5e-324, 5e-324], size=int(tiny.sum()))
+    return RandomVariable(space, values)
+
+
+@given(hull_books(), st.floats(1.05, 8.0), st.sampled_from([1.02, 1.5, 2.0, 3.0, 10.0]))
+@example(RandomVariable(FiniteProbSpace.uniform(4), np.array([0.0, 0.0, 1.0, -1.0e-172])), 2.0, 2.0)
+@settings(max_examples=150, deadline=None)
+def test_higher_order_kernel_matches_the_generic_hull(x, c, p):
+    t = triple(c, p)
+    slow, _ = cash_hull(lambda y: f_transformed(y, t), x)
+    fast = higher_order_T(x, c, p)
+    assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
+
+
+@given(hull_books(), st.floats(1.0, 8.0))
+@settings(max_examples=40, deadline=None)
+def test_higher_order_p1_is_avar(x, c):
+    assert higher_order_T(x, c, 1.0) == avar(x, 1.0 / c)
+
+
 def test_transformed_exponential_h_large_positions():
     # exp(s - x) saturates to inf at far shifts; the hull must treat that as
     # an infinite objective value, not crash on a non-finite variable
@@ -279,6 +319,9 @@ def test_higher_order_param_validation(coin):
         higher_order_T(coin, 2.0, 0.5)
     with pytest.raises(ValueError):
         higher_order_T(coin, 0.5, 1.0)
+    for c, p in ((INF, 2.0), (2.0, INF), (math.nan, 1.0), (INF, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            higher_order_T(coin, c, p)
     # boundary AVaR_1 mode is allowed
     assert higher_order_T(coin, 1.0, 1.0) == pytest.approx(-coin.mean(), abs=1e-9)
 
