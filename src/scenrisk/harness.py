@@ -1,10 +1,13 @@
 """Scenario ingestion, the randomized property battery, and report emission.
 
-CSV schema: first column ``probability``, remaining columns are named value
-variables; decimal point, no thousands separators.  Probabilities must be
-strictly positive and sum to within 1e-9 of one before normalization --
-anything further off is rejected so rounding noise is tolerated but bad data
-is not.
+CSV schema (UTF-8): first column ``probability``, remaining columns are named
+value variables.  Every field is an ASCII decimal or exponent literal such as
+``-1.5``, ``.25`` or ``2e-3``, optionally quoted, with surrounding whitespace
+allowed; thousands separators, ``_`` digit groups, non-ASCII digits, empty
+fields, ``nan``/``inf`` and blank lines are rejected, naming the row.
+Probabilities must be strictly positive and sum to within 1e-9 of one before
+normalization -- anything further off is rejected so rounding noise is
+tolerated but bad data is not.
 
 Reports are deterministic byte-for-byte for a fixed seed; per-check runtimes
 are recorded on the records but excluded from emission unless asked for.
@@ -12,6 +15,7 @@ are recorded on the records but excluded from emission unless asked for.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -58,16 +62,52 @@ class ScenarioTable:
         return self.columns[name]
 
 
-def ingest_csv(path: str) -> ScenarioTable:
-    """Parse and validate a scenario CSV; errors carry the offending row number."""
+def _number(cell: str) -> float:
+    """``float`` restricted to the ASCII grammar that ``np.loadtxt`` reads."""
+    token = cell.strip()
+    if token.isascii() and "_" not in token:
+        with contextlib.suppress(ValueError):
+            return float(token)
+    raise ValueError(f"could not convert string to float: {cell!r}")
+
+
+def _parse_rows(path: str, reader, width: int) -> np.ndarray:
+    """Row-by-row parse of the body; raises naming the first offending row."""
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ScenRiskError(f"{path}: cannot read: {exc}") from exc
+    for rownum, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ScenRiskError(f"{path}: row {rownum}: expected {width} fields")
+        try:
+            vals = [_number(c) for c in row]
+        except ValueError as exc:
+            raise ScenRiskError(f"{path}: row {rownum}: malformed number: {exc}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ScenRiskError(f"{path}: row {rownum}: non-finite entry")
+        if vals[0] <= 0.0:
+            raise ScenRiskError(f"{path}: row {rownum}: non-positive probability {vals[0]!r}")
+        rows[rownum - 2] = vals
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def ingest_csv(path: str) -> ScenarioTable:
+    """Parse and validate a scenario CSV; errors carry the offending row number.
+
+    The body is parsed in one ``np.loadtxt`` pass and checked as an array; only
+    a body that fails, or has fewer rows than lines, goes through ``_parse_rows``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        reader = csv.reader(lines)
+        header = next(reader, None)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ScenRiskError(f"{path}: cannot read: {exc}") from exc
-    if not rows:
+    if header is None:
         raise ScenRiskError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     if not header or header[0] != "probability":
         raise ScenRiskError(f"{path}: first column must be named 'probability'")
     names = tuple(header[1:])
@@ -76,31 +116,20 @@ def ingest_csv(path: str) -> ScenarioTable:
     for k, name in enumerate(names):
         if name in names[:k]:
             raise ScenRiskError(f"{path}: duplicate column name {name!r}")
-    probs: List[float] = []
-    cols: List[List[float]] = [[] for _ in names]
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ScenRiskError(f"{path}: row {rownum}: expected {len(header)} fields")
-        try:
-            vals = [float(c) for c in row]
-        except ValueError as exc:
-            raise ScenRiskError(f"{path}: row {rownum}: malformed number: {exc}") from exc
-        if not all(math.isfinite(v) for v in vals):
-            raise ScenRiskError(f"{path}: row {rownum}: non-finite entry")
-        if vals[0] <= 0.0:
-            raise ScenRiskError(f"{path}: row {rownum}: non-positive probability {vals[0]!r}")
-        probs.append(vals[0])
-        for k, v in enumerate(vals[1:]):
-            cols[k].append(v)
-    total = float(sum(probs))
+    body = lines[reader.line_num:]
+    data = None
+    with contextlib.suppress(ValueError):
+        if any(map(str.strip, body)):  # np.loadtxt warns on a body without rows
+            data = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
+                              ndmin=2, dtype=float)
+    if (data is None or data.shape != (len(body), len(header))
+            or not np.isfinite(data).all() or (data[:, 0] <= 0.0).any()):
+        data = _parse_rows(path, reader, len(header))
+    total = float(sum(data[:, 0].tolist()))  # sequential, not np.sum's pairwise sum
     if abs(total - 1.0) > 1e-9:
-        raise ScenRiskError(
-            f"{path}: probabilities sum to {total!r}; outside the 1e-9 tolerance"
-        )
-    space = FiniteProbSpace(np.asarray(probs))
-    columns = {
-        name: RandomVariable(space, np.asarray(col)) for name, col in zip(names, cols)
-    }
+        raise ScenRiskError(f"{path}: probabilities sum to {total!r}; outside the 1e-9 tolerance")
+    space = FiniteProbSpace(data[:, 0])
+    columns = {name: RandomVariable(space, data[:, k]) for k, name in enumerate(names, 1)}
     return ScenarioTable(space, names, columns, total, source=path)
 
 
@@ -179,137 +208,110 @@ def run_battery(table: ScenarioTable, config: BatteryConfig = BatteryConfig(),
     space = table.space
     tol = config.tolerance
     records: List[CheckRecord] = []
-    curves: List[Tuple[str, Tuple[ConvergencePoint, ...]]] = []
 
-    def record(name: str, worst_gap: float, lhs: float, rhs: float,
-               tolerance: float, t0: float, trial_seed: int):
-        status = "pass" if worst_gap <= 0.0 else "fail"
-        records.append(CheckRecord(name, status, lhs, rhs, tolerance,
-                                   time.perf_counter() - t0, trial_seed))
+    def record(name: str, tolerance: float, trials) -> None:
+        """Run a check's trials, each yielding (gap, lhs, rhs, trial_seed); the
+        first trial with the largest gap is recorded, failing if that gap > 0."""
+        t0 = time.perf_counter()
+        worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
+        for gap, lhs, rhs, seed in trials:
+            if gap > worst:
+                worst, wl, wr, wseed = gap, lhs, rhs, seed
+        records.append(CheckRecord(name, "pass" if worst <= 0.0 else "fail", wl, wr,
+                                   tolerance, time.perf_counter() - t0, wseed))
 
     rhos = config.rho_pool()
     variables = _trial_variables(space, table, rng, config.trials)
 
-    # dilatation monotonicity: rho(E[X|pi]) <= rho(X) + tol
-    t0 = time.perf_counter()
-    worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
-    for i in range(config.trials):
-        x = variables[i % len(variables)]
-        p = random_partition(space, rng)
-        for rho in rhos:
-            lhs = rho(cond_exp(x, p))
-            rhs = rho(x) + tol
-            if lhs - rhs > worst:
-                worst, wl, wr, wseed = lhs - rhs, lhs, rhs, config.seed + i
-    record("dilatation_monotonicity", worst, wl, wr, tol, t0, wseed)
+    def dilatation():  # rho(E[X|pi]) <= rho(X) + tol
+        for i in range(config.trials):
+            x = variables[i % len(variables)]
+            p = random_partition(space, rng)
+            for rho in rhos:
+                lhs, rhs = rho(cond_exp(x, p)), rho(x) + tol
+                yield lhs - rhs, lhs, rhs, config.seed + i
+    record("dilatation_monotonicity", tol, dilatation())
 
-    # cash additivity
-    t0 = time.perf_counter()
-    worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
-    for i in range(config.trials):
-        x = variables[i % len(variables)]
-        s = float(rng.uniform(-5.0, 5.0))
-        for rho in rhos:
-            lhs = abs(rho(x + s) + s - rho(x))
-            if lhs - tol > worst:
-                worst, wl, wr, wseed = lhs - tol, lhs, tol, config.seed + i
-    record("cash_additivity", worst, wl, wr, tol, t0, wseed)
+    def cash_additivity():
+        for i in range(config.trials):
+            x = variables[i % len(variables)]
+            s = float(rng.uniform(-5.0, 5.0))
+            for rho in rhos:
+                lhs = abs(rho(x + s) + s - rho(x))
+                yield lhs - tol, lhs, tol, config.seed + i
+    record("cash_additivity", tol, cash_additivity())
 
-    # convexity
-    t0 = time.perf_counter()
-    worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
-    for i in range(config.trials):
-        x = variables[i % len(variables)]
-        y = variables[(i + 1) % len(variables)]
-        lam = float(rng.uniform(0.05, 0.95))
-        mix = lam * x + (1.0 - lam) * y
-        for rho in rhos:
-            lhs = rho(mix)
-            rhs = lam * rho(x) + (1.0 - lam) * rho(y) + tol
-            if lhs - rhs > worst:
-                worst, wl, wr, wseed = lhs - rhs, lhs, rhs, config.seed + i
-    record("convexity", worst, wl, wr, tol, t0, wseed)
+    def convexity():
+        for i in range(config.trials):
+            x = variables[i % len(variables)]
+            y = variables[(i + 1) % len(variables)]
+            lam = float(rng.uniform(0.05, 0.95))
+            mix = lam * x + (1.0 - lam) * y
+            for rho in rhos:
+                lhs, rhs = rho(mix), lam * rho(x) + (1.0 - lam) * rho(y) + tol
+                yield lhs - rhs, lhs, rhs, config.seed + i
+    record("convexity", tol, convexity())
 
-    # monotonicity: x >= y componentwise -> rho(x) <= rho(y) + tol
-    t0 = time.perf_counter()
-    worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
-    for i in range(config.trials):
-        y = variables[i % len(variables)]
-        x = y + RandomVariable(space, rng.uniform(0.0, 2.0, size=space.atom_count))
-        for rho in rhos:
-            lhs = rho(x)
-            rhs = rho(y) + tol
-            if lhs - rhs > worst:
-                worst, wl, wr, wseed = lhs - rhs, lhs, rhs, config.seed + i
-    record("monotonicity", worst, wl, wr, tol, t0, wseed)
+    def monotonicity():  # x >= y componentwise -> rho(x) <= rho(y) + tol
+        for i in range(config.trials):
+            y = variables[i % len(variables)]
+            x = y + RandomVariable(space, rng.uniform(0.0, 2.0, size=space.atom_count))
+            for rho in rhos:
+                lhs, rhs = rho(x), rho(y) + tol
+                yield lhs - rhs, lhs, rhs, config.seed + i
+    record("monotonicity", tol, monotonicity())
 
-    # extension agreement: sup over sampled coarsenings equals the direct value
-    t0 = time.perf_counter()
-    worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
-    for i in range(min(config.trials, 10)):
-        x = variables[i % len(variables)]
-        for rho in rhos[:3]:
-            res = extend_sup(rho, x, budget=4, seed=config.seed + i)
-            direct = rho(x)
-            gap = abs(res.value - direct) - 1e-9
-            if gap > worst:
-                worst, wl, wr, wseed = gap, res.value, direct, config.seed + i
-    record("extension_agreement", worst, wl, wr, 1e-9, t0, wseed)
+    def extension_agreement():  # sup over sampled coarsenings equals the direct value
+        for i in range(min(config.trials, 10)):
+            x = variables[i % len(variables)]
+            for rho in rhos[:3]:
+                res = extend_sup(rho, x, budget=4, seed=config.seed + i)
+                direct = rho(x)
+                yield abs(res.value - direct) - 1e-9, res.value, direct, config.seed + i
+    record("extension_agreement", 1e-9, extension_agreement())
 
-    # strong duality for the higher-order family
-    t0 = time.perf_counter()
-    worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
-    for i in range(min(config.trials, 10)):
-        x = variables[i % len(variables)]
-        c, p = (1.5, 2.0) if i % 2 == 0 else (2.0, 3.0)
-        primal = higher_order_T(x, c, p)
-        dual_val, _ = dual_higher_order(x, c, p / (p - 1.0))
-        gap = abs(primal - dual_val) - 1e-6
-        if gap > worst:
-            worst, wl, wr, wseed = gap, dual_val, primal, config.seed + i
-    record("strong_duality", worst, wl, wr, 1e-6, t0, wseed)
+    def strong_duality():  # for the higher-order family
+        for i in range(min(config.trials, 10)):
+            x = variables[i % len(variables)]
+            c, p = (1.5, 2.0) if i % 2 == 0 else (2.0, 3.0)
+            primal = higher_order_T(x, c, p)
+            dual_val, _ = dual_higher_order(x, c, p / (p - 1.0))
+            yield abs(primal - dual_val) - 1e-6, dual_val, primal, config.seed + i
+    record("strong_duality", 1e-6, strong_duality())
 
-    # Kusuoka sandwich
-    t0 = time.perf_counter()
-    worst, wl, wr, wseed = -math.inf, 0.0, 0.0, config.seed
-    for i in range(min(config.trials, 5)):
-        x = variables[i % len(variables)]
-        primal = higher_order_T(x, 2.0, 2.0)
-        val, _ = kusuoka_value(x, 2.0, 2.0)
-        gap = max(val - (primal + 1e-6), (primal - 1e-3) - val)
-        if gap > worst:
-            worst, wl, wr, wseed = gap, val, primal, config.seed + i
-    record("kusuoka_sandwich", worst, wl, wr, 1e-6, t0, wseed)
+    def kusuoka_sandwich():
+        for i in range(min(config.trials, 5)):
+            x = variables[i % len(variables)]
+            primal = higher_order_T(x, 2.0, 2.0)
+            val, _ = kusuoka_value(x, 2.0, 2.0)
+            gap = max(val - (primal + 1e-6), (primal - 1e-3) - val)
+            yield gap, val, primal, config.seed + i
+    record("kusuoka_sandwich", 1e-6, kusuoka_sandwich())
 
-    # constructive bounded-sequence check on a synthesized fine discretization
-    t0 = time.perf_counter()
-    fine = FiniteProbSpace.uniform(1000)
-    nd = NormalDist()
-    xfine = RandomVariable(
-        fine, np.array([nd.inv_cdf((i + 0.5) / 1000) for i in range(1000)])
-    )
-    delta = discretization_slack(xfine)
-    worst, wl, wr = -math.inf, 0.0, 0.0
-    for part, k1, eps in lemma21_sequence(xfine, 10):
-        ce = cond_exp(xfine, part)
-        dom = float(np.max(np.abs(ce.values) - (np.abs(xfine.values) + k1 + 1.0 + delta)))
-        l1 = (ce - xfine).l1() - (eps * (3.0 + 2.0 * k1) + delta)
-        gap = max(dom, l1)
-        if gap > worst:
-            worst, wl, wr = gap, (ce - xfine).l1(), eps * (3.0 + 2.0 * k1) + delta
-    record("lemma21_bounds", worst, wl, wr, 0.0, t0, config.seed)
+    def lemma21_bounds():  # constructive bounded sequence on a synthesized fine space
+        fine = FiniteProbSpace.uniform(1000)
+        nd = NormalDist()
+        xfine = RandomVariable(
+            fine, np.array([nd.inv_cdf((i + 0.5) / 1000) for i in range(1000)])
+        )
+        delta = discretization_slack(xfine)
+        for part, k1, eps in lemma21_sequence(xfine, 10):
+            ce = cond_exp(xfine, part)
+            dom = float(np.max(np.abs(ce.values) - (np.abs(xfine.values) + k1 + 1.0 + delta)))
+            bound = eps * (3.0 + 2.0 * k1) + delta
+            l1 = (ce - xfine).l1()
+            yield max(dom, l1 - bound), l1, bound, config.seed
+    record("lemma21_bounds", 0.0, lemma21_bounds())
 
     # convergence curve for the report
     curve = refinement_convergence(rhos[0], variables[0], depth=6)
-    curves.append(("refinement", tuple(curve)))
-
     return RunReport(
         command=command,
         seed=config.seed,
         space_probs=tuple(float(p) for p in space.probs),
         variable_names=table.names,
         checks=tuple(records),
-        curves=tuple(curves),
+        curves=(("refinement", tuple(curve)),),
     )
 
 
@@ -328,12 +330,9 @@ def emit_report(report: RunReport, format: str = "text",
     byte-identical for a fixed seed.
     """
     if format == "curves":
-        out = io.StringIO()
-        out.write("level,value,l1_gap\n")
-        for _, points in report.curves:
-            for pt in points:
-                out.write(f"{pt.level},{pt.value:.17g},{pt.l1_gap:.17g}\n")
-        return out.getvalue().encode()
+        rows = [f"{pt.level},{pt.value:.17g},{pt.l1_gap:.17g}\n"
+                for _, points in report.curves for pt in points]
+        return ("level,value,l1_gap\n" + "".join(rows)).encode()
     if format != "text":
         raise ParameterError(f"unsupported report format {format!r}")
     out = io.StringIO()

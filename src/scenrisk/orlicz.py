@@ -464,11 +464,14 @@ def orlicz_norm(x: RandomVariable, g: OrliczFunction) -> float:
     Substituting u = 1/k makes the objective u + u * E[G*(|x|/u)], which is
     convex in u (a perspective), so a coarse geometric scan plus golden
     section suffices.  Requires a conjugate finite near 0 (true for all
-    built-in kinds).
+    built-in kinds).  The norm is positively homogeneous, so it is solved at
+    ``x / max|x|`` and scaled back: the grid is then relative to the input.
     """
     a = np.abs(x.values)
-    if float(a.max(initial=0.0)) == 0.0:
+    amax = float(a.max(initial=0.0))
+    if amax == 0.0:
         return 0.0
+    a = a / amax
     pr = x.space.probs
     gstar = g.conjugate()
 
@@ -480,14 +483,13 @@ def orlicz_norm(x: RandomVariable, g: OrliczFunction) -> float:
             return INF
         return u * (1.0 + float(pr @ vals))
 
-    scale = float(a.max()) + 1.0
-    grid = np.geomspace(1e-13 * scale, 64.0 * scale, 64)
+    grid = np.geomspace(2e-13, 128.0, 64)
     fg = np.array([obj(float(u)) for u in grid])
     i = int(np.argmin(fg))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    u_best, f_best, _ = golden_section(obj, float(lo), float(hi), tol=1e-12 * scale)
-    return min(f_best, float(fg[i]))
+    u_best, f_best, _ = golden_section(obj, float(lo), float(hi), tol=2e-12)
+    return amax * min(f_best, float(fg[i]))
 
 
 def conjugate_value_numeric(g: OrliczFunction, y: float, t_max: float = 2.0 ** 40) -> float:

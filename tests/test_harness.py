@@ -1,9 +1,16 @@
+import csv
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenrisk import (
     BatteryConfig,
@@ -77,6 +84,148 @@ def test_ingest_unreadable_file_is_a_clean_error(tmp_path, capsys):
         ingest_csv(str(binary))
     assert main(["eval", missing]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def reference_ingest(path):
+    """The row-by-row parser that ``ingest_csv`` replaced, kept as the slow
+    reference: (probs, columns, raw sum) or the ScenRiskError message."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    probs, cols = [], [[] for _ in header[1:]]
+    for rownum, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            return f"{path}: row {rownum}: expected {len(header)} fields"
+        try:
+            vals = [float(c) for c in row]
+        except ValueError as exc:
+            return f"{path}: row {rownum}: malformed number: {exc}"
+        if not all(math.isfinite(v) for v in vals):
+            return f"{path}: row {rownum}: non-finite entry"
+        if vals[0] <= 0.0:
+            return f"{path}: row {rownum}: non-positive probability {vals[0]!r}"
+        probs.append(vals[0])
+        for k, v in enumerate(vals[1:]):
+            cols[k].append(v)
+    total = float(sum(probs))
+    if abs(total - 1.0) > 1e-9:
+        return f"{path}: probabilities sum to {total!r}; outside the 1e-9 tolerance"
+    return np.asarray(probs), [np.asarray(c) for c in cols], total
+
+
+FAULTS = ("short", "long", "blank", "blank_end", "token", "empty", "non_finite",
+          "non_positive")
+
+
+@st.composite
+def scenario_files(draw):
+    """A book in one of several number and field formats, with zero, one or
+    two injected faults."""
+    n = draw(st.integers(1, 25))
+    k = draw(st.integers(1, 3))
+    w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    probs = w / w.sum()
+    values = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=k, max_size=k), min_size=n, max_size=n))
+    fmt = draw(st.sampled_from(["%.17g", "repr"]))
+    quote = draw(st.sampled_from(["never", "always", "mixed"]))
+    pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def cell(v):
+        tok = repr(float(v)) if fmt == "repr" else "%.17g" % v
+        tok = pad + tok + pad
+        if quote == "always" or (quote == "mixed" and draw(st.booleans())):
+            tok = '"' + tok + '"'
+        return tok
+
+    rows = [[cell(p)] + [cell(v) for v in vals] for p, vals in zip(probs, values)]
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, n - 1)),
+                           max_size=2))
+    blanks = []
+    for fault, i in faults:
+        row = rows[i]
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append(cell(1.0))
+        elif fault in ("blank", "blank_end"):
+            blanks.append(n if fault == "blank_end" else i)
+        elif fault == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+                ["oops", "1e", "--1", "0x10", "1.5.2", " 1 2 ", '"1"x']))
+        elif fault == "empty":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(["", '""', " "]))
+        elif fault == "non_finite":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+                ["nan", "inf", "-inf", " NaN", "1e999"]))
+        else:
+            row[0] = draw(st.sampled_from(["0", "-0.0", "-0.5", "-1e-300"]))
+    lines = ["probability," + ",".join(f"x{j}" for j in range(k))]
+    lines += [",".join(row) for row in rows]
+    for b in sorted(blanks, reverse=True):
+        lines.insert(b + 1, "")
+    text = eol.join(lines)
+    if blanks and max(blanks) == n or draw(st.booleans()):
+        text += eol
+    return text
+
+
+@given(scenario_files())
+@settings(max_examples=200, deadline=None)
+def test_ingest_matches_the_row_by_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("book") / "scn.csv"
+    path.write_bytes(text.encode())
+    want = reference_ingest(str(path))
+    if isinstance(want, str):
+        with pytest.raises(ScenRiskError) as err:
+            ingest_csv(str(path))
+        assert str(err.value) == want
+        return
+    table = ingest_csv(str(path))
+    probs, cols, total = want
+    assert table.raw_prob_sum.hex() == total.hex()
+    assert table.space.probs.tobytes() == (probs / probs.sum()).tobytes()
+    for name, col in zip(table.names, cols):
+        assert table.columns[name].values.tobytes() == col.tobytes()
+
+
+def test_ingest_first_offending_row_wins(tmp_path):
+    path = write_csv(tmp_path, "probability,x\n-0.5,1\n0.5,oops\n")
+    with pytest.raises(ScenRiskError) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}: row 2: non-positive probability -0.5"
+    path = write_csv(tmp_path, "probability,x\n0.5,1\n\n0.5,nan\n")
+    with pytest.raises(ScenRiskError, match="row 3: expected 2 fields"):
+        ingest_csv(path)
+
+
+@pytest.mark.parametrize("token", ["1_000", "1_0.5", "\u0661", "1\u0660", "\uff11.5"])
+def test_ingest_rejects_digit_groups_and_non_ascii_digits(tmp_path, token):
+    path = write_csv(tmp_path, f"probability,x\n0.5,1\n0.5,{token}\n", name="d.csv")
+    with pytest.raises(ScenRiskError) as err:
+        ingest_csv(path)
+    assert str(err.value) == (f"{path}: row 3: malformed number: "
+                              f"could not convert string to float: {token!r}")
+
+
+def test_ingest_reads_quoted_fields_spanning_lines(tmp_path):
+    path = write_csv(tmp_path, 'probability,x\n"0.5\n",1\n0.5," 2\r\n"\n')
+    table = ingest_csv(path)
+    assert table.space.atom_count == 2
+    assert table.variable().values.tolist() == [1.0, 2.0]
+
+
+def test_ingest_decodes_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "euro.csv"
+    path.write_bytes("probability,pnl \u20ac\n1.0,2\n".encode())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=src)
+    code = "import sys; from scenrisk import ingest_csv; print(ascii(ingest_csv(sys.argv[1]).names))"
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, check=True)
+    assert out.stdout == b"('pnl \\u20ac',)\n"
 
 
 def test_ingest_requires_probability_header(tmp_path):

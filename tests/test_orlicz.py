@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenrisk import (
@@ -63,6 +63,8 @@ def _stationary_y(g, target_slope, hi_start=1.0):
     lo = 0.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no double left between: further steps change nothing
+            break
         if _numeric_slope(g, mid) < target_slope:
             lo = mid
         else:
@@ -75,11 +77,13 @@ def sup_ball_oracle(x, g):
 
     KKT: the optimal |Y| satisfies lam * G'(|y_i|) = |x_i| for a multiplier
     lam chosen so E[G(|Y|)] = 1; the sign of Y follows x.  Independent of the
-    Amemiya route used by the implementation."""
+    Amemiya route used by the implementation.  Solved at x / max|x| and
+    scaled back, as the problem is positively homogeneous in x."""
     pr = x.space.probs
-    a = np.abs(x.values)
-    if float(a.max()) == 0.0:
+    amax = float(np.abs(x.values).max())
+    if amax == 0.0:
         return 0.0
+    a = np.abs(x.values) / amax
 
     def mass(lam):
         y = np.array([_stationary_y(g, ai / lam) for ai in a])
@@ -94,12 +98,14 @@ def sup_ball_oracle(x, g):
     lam_lo /= 2.0
     for _ in range(200):
         mid = 0.5 * (lam_lo + lam_hi)
+        if mid in (lam_lo, lam_hi):
+            break
         if mass(mid)[0] > 1.0:
             lam_lo = mid
         else:
             lam_hi = mid
     _, y = mass(lam_hi)
-    return float(pr @ (a * y))
+    return amax * float(pr @ (a * y))
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +275,25 @@ def test_orlicz_norm_examples(uniform4):
 
 
 @given(variables(lo=-5, hi=5, max_atoms=4, min_atoms=2))
+@example(RandomVariable(FiniteProbSpace.uniform(2), np.array([0.0, 5e-324])))
 @settings(max_examples=30, deadline=None)
 def test_orlicz_norm_power_is_dual_lq(x):
     for p in (1.5, 2.0, 3.0):
         q = p / (p - 1.0)
         got = orlicz_norm(x, power(p))
-        lq = float((x.space.probs @ np.abs(x.values) ** q) ** (1.0 / q))
-        assert got == pytest.approx(lq, rel=1e-8, abs=1e-9)
+        a = np.abs(x.values)
+        amax = float(a.max())  # scaled, so that a subnormal x does not underflow
+        lq = amax * float((x.space.probs @ (a / amax) ** q) ** (1.0 / q)) if amax else 0.0
+        assert got == pytest.approx(lq, rel=1e-8, abs=0.0)
         oracle = sup_ball_oracle(x, power(p))
-        assert abs(got - oracle) <= 1e-6 * (1.0 + abs(got))
+        assert abs(got - oracle) <= 1e-6 * abs(got)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-14, 1e-12, 1.0, 1e150])
+def test_orlicz_norm_has_no_absolute_floor(scale):
+    x = RandomVariable(FiniteProbSpace.uniform(3), np.array([1.0, -2.0, 0.5]) * scale)
+    l2 = scale * math.sqrt((1.0 + 4.0 + 0.25) / 3.0)
+    assert orlicz_norm(x, power(2)) == pytest.approx(l2, rel=1e-12, abs=0.0)
 
 
 def test_orlicz_norm_linear_is_sup(uniform4):
