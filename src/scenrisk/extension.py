@@ -168,16 +168,9 @@ def lemma21_sequence(x: RandomVariable, n_max: int) -> List[Tuple[Partition, flo
         in_a[a_idx] = True
         omega_prime = (absx <= k2) & ~in_a
 
-        cells = []
-        op_idx = np.flatnonzero(omega_prime)
-        if op_idx.size:
-            v = vals[op_idx]
-            width = eps / 2.0
-            bins = np.floor((v - v.min()) / width).astype(int)
-            for b in np.unique(bins):
-                cells.append(tuple(op_idx[bins == b]))
-        closing = np.flatnonzero(~omega_prime)
-        if closing.size:
-            cells.append(tuple(closing))
-        out.append((Partition(space, tuple(cells)), float(k1), eps))
+        labels = np.full(space.atom_count, -1)  # -1: the closing cell
+        if omega_prime.any():
+            v = vals[omega_prime]
+            labels[omega_prime] = np.floor((v - v.min()) / (eps / 2.0)).astype(int)
+        out.append((Partition(space, labels), float(k1), eps))
     return out

@@ -1,9 +1,10 @@
 """Finite probability spaces, random variables, partitions and conditional expectations.
 
 Everything downstream acts on simple random variables over a finite space of
-atoms with strictly positive probabilities.  A partition groups atoms into
-cells; conditioning on a partition replaces values by probability-weighted
-cell means.  Nonatomic constructions are emulated by fine discretizations, so
+atoms with strictly positive probabilities.  A partition is one integer label
+per atom, numbered by first occurrence; atoms sharing a label form a cell, and
+conditioning on a partition replaces values by probability-weighted cell
+means.  Nonatomic constructions are emulated by fine discretizations, so
 the quality of any coarsening statement carries an explicit atom-size slack.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -167,71 +168,79 @@ class RandomVariable:
         return f"RandomVariable({np.array2string(self.values, threshold=8)})"
 
 
-def _canonical_cells(cells: Iterable[Iterable[int]]):
-    canon = tuple(sorted((tuple(sorted(int(i) for i in cell)) for cell in cells)))
-    return canon
-
-
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint nonempty cells of atom indices covering the whole space.
+    """Cells of atoms given by one label per atom; atoms sharing a label form a cell.
 
-    Cells automatically have positive probability because atoms do.  Cells are
-    canonicalized (sorted) so partitions compare by content.
+    Any labels ``np.unique`` can sort (integers, strings) are accepted and
+    renumbered ``0 .. n_cells - 1`` by first occurrence, so cell ``k`` is the
+    cell whose smallest atom ranks ``k``-th and partitions compare by content.
+    Every cell is nonempty and the cells cover the space disjointly by
+    construction.  ``labels`` is read-only, so the hash cannot drift.
     """
 
     space: FiniteProbSpace
-    cells: tuple
+    labels: np.ndarray
 
     def __post_init__(self):
-        canon = _canonical_cells(self.cells)
-        n = self.space.atom_count
-        seen = [i for cell in canon for i in cell]
-        if any(len(cell) == 0 for cell in canon):
-            raise ValueError("cells must be nonempty")
-        if sorted(seen) != list(range(n)):
-            raise ValueError("cells must partition the atom indices exactly")
-        object.__setattr__(self, "cells", canon)
+        lab = np.asarray(self.labels)
+        if lab.shape != (self.space.atom_count,):
+            raise ValueError(f"one label per atom required, got shape {lab.shape}")
+        _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.size)
+        canon = rank[inverse]
+        canon.flags.writeable = False
+        object.__setattr__(self, "labels", canon)
 
     @classmethod
     def trivial(cls, space: FiniteProbSpace) -> "Partition":
-        return cls(space, (tuple(range(space.atom_count)),))
+        return cls(space, np.zeros(space.atom_count, dtype=int))
 
     @classmethod
     def finest(cls, space: FiniteProbSpace) -> "Partition":
-        return cls(space, tuple((i,) for i in range(space.atom_count)))
+        return cls(space, np.arange(space.atom_count))
 
     @classmethod
     def from_labels(cls, space: FiniteProbSpace, labels) -> "Partition":
-        lab = np.asarray(labels)
-        if lab.shape != (space.atom_count,):
-            raise ValueError("one label per atom required")
-        cells = {}
-        for i, l in enumerate(lab):
-            cells.setdefault(l.item() if hasattr(l, "item") else l, []).append(i)
-        return cls(space, tuple(tuple(v) for v in cells.values()))
+        return cls(space, labels)
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return int(self.labels.max()) + 1
+
+    @property
+    def cell_sizes(self) -> np.ndarray:
+        """Atom count of each cell, in cell order."""
+        return np.bincount(self.labels)
+
+    @property
+    def cells(self) -> tuple:
+        """The cells as sorted tuples of atom indices, ordered by smallest atom."""
+        order, _, starts = self._by_cell()
+        return tuple(tuple(cell.tolist()) for cell in np.split(order, starts[1:]))
+
+    def _by_cell(self):
+        """Atoms grouped by cell (ascending inside each), cell sizes, cell starts."""
+        sizes = self.cell_sizes
+        return np.argsort(self.labels, kind="stable"), sizes, np.cumsum(sizes) - sizes
 
     def is_refinement_of(self, coarser: "Partition") -> bool:
         """True when every cell of ``self`` sits inside a cell of ``coarser``."""
-        owner = {}
-        for k, cell in enumerate(coarser.cells):
-            for i in cell:
-                owner[i] = k
-        return all(len({owner[i] for i in cell}) == 1 for cell in self.cells)
+        _require_same_space(self.space, coarser.space, "is_refinement_of")
+        owner = np.empty(self.n_cells, dtype=np.intp)
+        owner[self.labels] = coarser.labels
+        return bool(np.array_equal(owner[self.labels], coarser.labels))
 
     def __eq__(self, other):
         return (
             isinstance(other, Partition)
             and self.space.matches(other.space)
-            and self.cells == other.cells
+            and np.array_equal(self.labels, other.labels)
         )
 
     def __hash__(self):
-        return hash(self.cells)
+        return hash(self.labels.tobytes())
 
     def __repr__(self):
         return f"Partition(cells={self.n_cells})"
@@ -241,30 +250,21 @@ def cond_exp(x: RandomVariable, p: Partition) -> RandomVariable:
     """Conditional expectation of ``x`` given the partition ``p``.
 
     The result is constant on each cell, equal to the probability-weighted
-    cell mean.  It preserves the mean and contracts the L1 norm.
+    cell mean.  It preserves the mean and contracts the L1 norm.  Each cell is
+    summed pairwise (``np.add.reduceat`` over the atoms grouped by cell), not
+    in atom order, which keeps large cells accurate.
     """
     _require_same_space(x.space, p.space, "cond_exp")
-    probs = x.space.probs
-    out = np.empty(x.space.atom_count)
-    for cell in p.cells:
-        idx = np.asarray(cell, dtype=int)
-        w = probs[idx]
-        out[idx] = float(w @ x.values[idx]) / float(w.sum())
-    return RandomVariable(x.space, out)
+    order, _, starts = p._by_cell()
+    w = x.space.probs[order]
+    means = np.add.reduceat(w * x.values[order], starts) / np.add.reduceat(w, starts)
+    return RandomVariable(x.space, means[p.labels])
 
 
 def refine(p: Partition, q: Partition) -> Partition:
     """Common refinement: nonempty pairwise intersections of cells."""
     _require_same_space(p.space, q.space, "refine")
-    cells = []
-    qsets = [set(c) for c in q.cells]
-    for cp in p.cells:
-        sp = set(cp)
-        for sq in qsets:
-            inter = sp & sq
-            if inter:
-                cells.append(tuple(sorted(inter)))
-    return Partition(p.space, tuple(cells))
+    return Partition(p.space, p.labels * q.n_cells + q.labels)
 
 
 def dyadic_chain(space: FiniteProbSpace, x: RandomVariable, depth: int):
@@ -315,17 +315,21 @@ def cell_shuffle_average(x: RandomVariable, p: Partition, j: int) -> RandomVaria
         raise UnsupportedSpaceError(
             "cell_shuffle_average needs equal atom probabilities"
         )
-    full = math.lcm(*(len(c) for c in p.cells))
+    full = full_cycle(p)
     if not (1 <= j <= full):
         raise ParameterError(f"j must lie in [1, {full}] (lcm of cell sizes)")
+    # shift r gives the atom at position t of its cell the value at position
+    # (t + r) mod size, as np.roll(cell, -r) does
+    order, sizes, starts = p._by_cell()
+    cell = p.labels[order]
+    start, size = starts[cell], sizes[cell]
+    pos = np.arange(order.size) - start
     acc = np.zeros(x.space.atom_count)
-    idx_cells = [np.asarray(c, dtype=int) for c in p.cells]
     for r in range(j):
-        for idx in idx_cells:
-            acc[idx] += x.values[np.roll(idx, -r)]
+        acc[order] += x.values[order[start + (pos + r) % size]]
     return RandomVariable(x.space, acc / j)
 
 
 def full_cycle(p: Partition) -> int:
     """Smallest shift count after which every cell has cycled (lcm of sizes)."""
-    return math.lcm(*(len(c) for c in p.cells))
+    return math.lcm(*p.cell_sizes.tolist())

@@ -47,11 +47,7 @@ def nested_partitions(draw, space):
     fine = draw(partitions(space))
     k = fine.n_cells
     merge = draw(st.lists(st.integers(0, max(0, k - 1)), min_size=k, max_size=k))
-    labels = np.empty(space.atom_count, dtype=int)
-    for cell_idx, cell in enumerate(fine.cells):
-        for i in cell:
-            labels[i] = merge[cell_idx]
-    return fine, Partition.from_labels(space, labels)
+    return fine, Partition.from_labels(space, np.asarray(merge)[fine.labels])
 
 
 @pytest.fixture

@@ -484,7 +484,7 @@ def test_dual_bisected_segment_matches_a_linear_scan(x, c, p):
 def test_conjugate_dilatation_examples(uniform4):
     rho = RiskFunctional.avar(0.5)
     y = RandomVariable(uniform4, np.array([-2.0, -2.0, 0.0, 0.0]))
-    pairing = Partition(uniform4, ((0, 2), (1, 3)))
+    pairing = Partition.from_labels(uniform4, [0, 1, 0, 1])
     assert conjugate_dilatation_check(rho, y, pairing)
     assert conjugate_dilatation_check(rho, y, Partition.trivial(uniform4))
     assert conjugate_dilatation_check(rho, y, Partition.finest(uniform4))

@@ -1,0 +1,181 @@
+"""Label-array partition kernels against the tuple-of-cells kernels they replaced.
+
+The references below keep the earlier representation: a partition is the
+sorted tuple of its sorted cells, and every kernel loops over the cells.  They
+are slow and exact, and the fast kernels in ``prob_core`` must agree with them.
+"""
+
+import math
+from statistics import NormalDist
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scenrisk import (
+    FiniteProbSpace,
+    Partition,
+    RandomVariable,
+    cell_shuffle_average,
+    cond_exp,
+    full_cycle,
+    lemma21_sequence,
+    refine,
+)
+
+from conftest import spaces
+
+
+# ---------------------------------------------------------------------------
+# the tuple-of-cells references
+# ---------------------------------------------------------------------------
+
+def reference_cells(labels):
+    """Group atom indices by label, then sort each cell and the cells."""
+    cells = {}
+    for i, lab in enumerate(labels):
+        cells.setdefault(lab, []).append(i)
+    return tuple(sorted(tuple(sorted(c)) for c in cells.values()))
+
+
+def reference_cond_exp(x, cells):
+    probs = x.space.probs
+    out = np.empty(x.space.atom_count)
+    for cell in cells:
+        idx = np.asarray(cell, dtype=int)
+        w = probs[idx]
+        out[idx] = float(w @ x.values[idx]) / float(w.sum())
+    return out
+
+
+def reference_refine(p_cells, q_cells):
+    out = []
+    for cp in p_cells:
+        for cq in q_cells:
+            inter = set(cp) & set(cq)
+            if inter:
+                out.append(tuple(sorted(inter)))
+    return tuple(sorted(out))
+
+
+def reference_is_refinement_of(fine_cells, coarse_cells):
+    owner = {}
+    for k, cell in enumerate(coarse_cells):
+        for i in cell:
+            owner[i] = k
+    return all(len({owner[i] for i in cell}) == 1 for cell in fine_cells)
+
+
+def reference_shuffle(x, cells, j):
+    acc = np.zeros(x.space.atom_count)
+    idx_cells = [np.asarray(c, dtype=int) for c in cells]
+    for r in range(j):
+        for idx in idx_cells:
+            acc[idx] += x.values[np.roll(idx, -r)]
+    return acc / j
+
+
+def reference_lemma21_cells(x, n_max):
+    """The cells of lemma21_sequence as the tuple construction built them."""
+    space, probs, vals = x.space, x.space.probs, x.values
+    absx = np.abs(vals)
+    k1 = 0
+    while space.expect(absx <= k1) <= 0.5:
+        k1 += 1
+    out = []
+    small = np.flatnonzero(absx <= k1)
+    for n in range(2, n_max + 1):
+        eps = 1.0 / n
+        cum = np.cumsum(probs[small])
+        stop = int(np.searchsorted(cum, eps, side="left")) + 1
+        a_idx = small[:stop]
+        k2 = k1 + 1
+        while float(probs @ (absx * (absx > k2))) >= eps:
+            k2 += 1
+        in_a = np.zeros(space.atom_count, dtype=bool)
+        in_a[a_idx] = True
+        omega_prime = (absx <= k2) & ~in_a
+        cells = []
+        op_idx = np.flatnonzero(omega_prime)
+        if op_idx.size:
+            v = vals[op_idx]
+            bins = np.floor((v - v.min()) / (eps / 2.0)).astype(int)
+            for b in np.unique(bins):
+                cells.append(tuple(op_idx[bins == b].tolist()))
+        closing = np.flatnonzero(~omega_prime)
+        if closing.size:
+            cells.append(tuple(closing.tolist()))
+        out.append(tuple(sorted(cells)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the property
+# ---------------------------------------------------------------------------
+
+@st.composite
+def space_values_and_two_labelings(draw):
+    space = draw(spaces(min_atoms=1, max_atoms=12))
+    n = space.atom_count
+    vals = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    ids = st.integers(-3, max(0, n - 1))
+    a = draw(st.lists(ids, min_size=n, max_size=n))
+    b = draw(st.one_of(
+        st.lists(ids, min_size=n, max_size=n),
+        st.permutations(range(-3, n)).map(lambda perm: [perm[i + 3] for i in a]),
+    ))
+    return RandomVariable(space, np.asarray(vals)), a, b
+
+
+@given(space_values_and_two_labelings())
+@settings(max_examples=300, deadline=None)
+def test_label_kernels_match_the_cell_references(case):
+    x, a, b = case
+    space = x.space
+    p, q = Partition.from_labels(space, a), Partition.from_labels(space, b)
+    pc, qc = reference_cells(a), reference_cells(b)
+
+    assert p.cells == pc and q.cells == qc
+    assert p.n_cells == len(pc)
+    assert (p == q) == (pc == qc)
+    assert refine(p, q).cells == reference_refine(pc, qc)
+    assert p.is_refinement_of(q) == reference_is_refinement_of(pc, qc)
+    assert q.is_refinement_of(p) == reference_is_refinement_of(qc, pc)
+
+    tol = 1e-12 * max(1.0, float(np.abs(x.values).max()))
+    assert np.max(np.abs(cond_exp(x, p).values - reference_cond_exp(x, pc))) <= tol
+
+    assert full_cycle(p) == math.lcm(*(len(c) for c in pc))
+    if space.is_uniform():
+        for j in range(1, full_cycle(p) + 1):
+            assert np.array_equal(cell_shuffle_average(x, p, j).values,
+                                  reference_shuffle(x, pc, j))
+
+
+def test_lemma21_cells_match_the_tuple_construction():
+    for seed in (3, 17):
+        rng = np.random.default_rng(seed)
+        n = 1200
+        space = FiniteProbSpace.from_weights(rng.uniform(0.5, 1.5, size=n))
+        x = RandomVariable(space, rng.standard_t(4, size=n) * 1.5)
+        got = [part.cells for part, _, _ in lemma21_sequence(x, 12)]
+        assert got == reference_lemma21_cells(x, 12)
+
+
+# ---------------------------------------------------------------------------
+# accuracy of the cell sums
+# ---------------------------------------------------------------------------
+
+def test_cond_exp_sums_large_cells_pairwise():
+    # the normal grid of scripts/convergence_study.py at 10^6 atoms, split
+    # into halves of 5 * 10^5 atoms; a sum in atom order is off by ~1e-11
+    n = 1_000_000
+    nd = NormalDist()
+    x = RandomVariable(FiniteProbSpace.uniform(n),
+                       np.array([nd.inv_cdf((i + 0.5) / n) for i in range(n)]))
+    half = n // 2
+    p = Partition.from_labels(x.space, np.arange(n) >= half)
+    ce = cond_exp(x, p).values
+    for cell in (slice(0, half), slice(half, n)):
+        exact = math.fsum(x.values[cell].tolist()) / half
+        assert np.all(np.abs(ce[cell] - exact) <= 1e-14 * abs(exact))

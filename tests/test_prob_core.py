@@ -114,9 +114,40 @@ def test_variable_rejects_wrong_length_and_nonfinite(uniform4):
 
 def test_partition_must_cover_disjointly(uniform4):
     with pytest.raises(ValueError):
-        Partition(uniform4, ((0, 1), (1, 2, 3)))
+        Partition.from_labels(uniform4, [0, 0, 1])  # too short
     with pytest.raises(ValueError):
-        Partition(uniform4, ((0, 1),))
+        Partition.from_labels(uniform4, [0, 0, 1, 1, 2])  # too long
+    with pytest.raises(ValueError):
+        Partition.from_labels(uniform4, [[0, 0], [1, 1]])  # 2-d
+    with pytest.raises(ValueError):
+        Partition.from_labels(uniform4, [[0, 0, 1, 1]])  # 2-d, one row
+
+
+def test_partition_labels_are_canonical_and_read_only():
+    space = FiniteProbSpace.uniform(6)
+    base = Partition.from_labels(space, [0, 1, 0, 2, 1, 2])
+    same = [
+        Partition.from_labels(space, [5, 3, 5, 0, 3, 0]),  # permuted ids
+        Partition.from_labels(space, [-4, -1, -4, -9, -1, -9]),
+        Partition.from_labels(space, ["b", "a", "b", "c", "a", "c"]),
+    ]
+    for p in same:
+        assert p == base
+        assert hash(p) == hash(base)
+        assert p.cells == base.cells == ((0, 2), (1, 4), (3, 5))
+        assert np.array_equal(p.labels, [0, 1, 0, 2, 1, 2])
+    with pytest.raises(ValueError):
+        base.labels[0] = 1
+
+
+def test_partition_api_used_by_the_benchmark():
+    # perfbench wraps from_labels through Partition.__dict__ and reads cells
+    assert isinstance(Partition.__dict__["from_labels"], classmethod)
+    space = FiniteProbSpace.uniform(7)
+    cells = Partition.from_labels(space, np.array([7, 3, 7, 1, 3, 9, 1])).cells
+    assert cells == ((0, 2), (1, 4), (3, 6), (5,))
+    assert sorted(i for c in cells for i in c) == list(range(7))
+    assert all(type(i) is int for c in cells for i in c)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +159,14 @@ def test_cond_exp_examples(x1234, uniform4):
     assert np.allclose(cond_exp(x1234, finest).values, [1, 2, 3, 4], atol=ATOL)
     trivial = Partition.trivial(uniform4)
     assert np.allclose(cond_exp(x1234, trivial).values, [2.5] * 4, atol=ATOL)
-    pairs = Partition(uniform4, ((0, 1), (2, 3)))
+    pairs = Partition.from_labels(uniform4, [0, 0, 1, 1])
     assert np.allclose(cond_exp(x1234, pairs).values, [1.5, 1.5, 3.5, 3.5], atol=ATOL)
 
 
 def test_cond_exp_weighted_space():
     space = FiniteProbSpace(np.array([0.5, 0.3, 0.2]))
     x = RandomVariable(space, np.array([10.0, 0.0, -5.0]))
-    p = Partition(space, ((0,), (1, 2)))
+    p = Partition.from_labels(space, [0, 1, 1])
     # cell {1,2}: (0.3*0 + 0.2*(-5)) / 0.5 = -2
     assert np.allclose(cond_exp(x, p).values, [10.0, -2.0, -2.0], atol=1e-12)
 
@@ -185,8 +216,8 @@ def test_jensen_cellwise(xp):
 # ---------------------------------------------------------------------------
 
 def test_refine_examples(uniform4):
-    p = Partition(uniform4, ((0, 1), (2, 3)))
-    q = Partition(uniform4, ((0, 2), (1, 3)))
+    p = Partition.from_labels(uniform4, [0, 0, 1, 1])
+    q = Partition.from_labels(uniform4, [0, 1, 0, 1])
     assert refine(Partition.trivial(uniform4), p) == p
     assert refine(p, p) == p
     assert refine(p, q) == Partition.finest(uniform4)
@@ -225,13 +256,13 @@ def test_dyadic_chain_is_refining_and_gap_monotone():
 # ---------------------------------------------------------------------------
 
 def test_shuffle_full_cycle_is_cond_exp(x1234, uniform4):
-    p = Partition(uniform4, ((0, 1), (2, 3)))
+    p = Partition.from_labels(uniform4, [0, 0, 1, 1])
     out = cell_shuffle_average(x1234, p, full_cycle(p))
     assert np.max(np.abs(out.values - cond_exp(x1234, p).values)) <= 1e-12
 
 
 def test_shuffle_single_is_identity(x1234, uniform4):
-    p = Partition(uniform4, ((0, 1), (2, 3)))
+    p = Partition.from_labels(uniform4, [0, 0, 1, 1])
     out = cell_shuffle_average(x1234, p, 1)
     assert np.array_equal(out.values, x1234.values)
 
@@ -248,7 +279,7 @@ def test_shuffle_preserves_distribution():
     rng = np.random.default_rng(8)
     space = FiniteProbSpace.uniform(8)
     x = RandomVariable(space, rng.normal(size=8))
-    p = Partition(space, ((0, 1, 2), (3, 4, 5, 6), (7,)))
+    p = Partition.from_labels(space, [0, 0, 0, 1, 1, 1, 1, 2])
     cycle = full_cycle(p)
     # each individual shift is a permutation: sorted multisets agree
     shifts = [_single_shift(x, p, r) for r in range(cycle)]
