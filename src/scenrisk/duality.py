@@ -10,18 +10,19 @@ the higher-order family have indicator conjugates over density sets),
 divergence flags along the rays that force +inf for cash-additive monotone
 functionals, and certified lower bounds from multi-start ascent otherwise.
 
-The higher-order dual  max{ E[-X Z] : Z >= 0, E[Z] = 1, ||Z||_q <= c }  is
-solved in closed form through its stationarity structure
-Z ~ ((a - lam)^+)^{1/(q-1)}, a = -X, with an outer bisection on lam.  The
-Kusuoka layer reads the same optimum off as a mixture of AVaR levels: the
-optimal density is a step spectrum on the distribution breakpoints, so the
-mixture is exact and needs no search; the mixture constraint is evaluated
-once as its certificate.
+The higher-order dual  max{ E[-X Z] : Z >= 0, E[Z] = 1, ||Z||_q <= c }  has
+no search of its own: its optimum is the Hoelder equality case
+Z ~ ((s* - X)^+)^(p-1) at the primal minimizer s*, read off the bracket that
+the primal kernel ``higher_order_T`` bisects.  The densities at the
+bracket's two ends are mixed to unit mass, and one rounding step toward the
+uniform density keeps the mix inside the ball.  The Kusuoka layer reads the
+same optimum off as a mixture of AVaR levels: the optimal density is a step
+spectrum on the distribution breakpoints, so the mixture is exact and needs
+no search; the mixture constraint is evaluated once as its certificate.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -31,7 +32,8 @@ import numpy as np
 from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError, require_finite
 from .orlicz import orlicz_norm, perspective
 from .prob_core import FiniteProbSpace, Partition, RandomVariable, cond_exp
-from .risk_core import OrliczTriple, RiskFunctional, avar_many
+from .risk_core import (OrliczTriple, RiskFunctional, _gap_weights, _higher_order_bracket,
+                        avar_many)
 
 INF = math.inf
 
@@ -102,17 +104,6 @@ def _q_norm(values: np.ndarray, probs: np.ndarray, q: float) -> float:
     if not 0.0 < scale < INF:
         return scale
     return scale * float((probs @ (a / scale) ** q) ** (1.0 / q))
-
-
-def _direction_norm(v: np.ndarray, probs: np.ndarray, q: float) -> float:
-    """q-norm of a density-dual search direction: its entries lie in [0, 1]
-    and peak at exactly one, so the power needs no scaling."""
-    return float((probs @ v ** q) ** (1.0 / q))
-
-
-def _mass_excess(v: np.ndarray, probs: np.ndarray, c: float, q: float) -> float:
-    """E[Z] - 1 for the direction v rescaled onto the sphere ||Z||_q = c."""
-    return c * float(probs @ v) / _direction_norm(v, probs, q) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -295,150 +286,45 @@ def conjugate_dilatation_check(rho: RiskFunctional, y: RandomVariable, p: Partit
 # ---------------------------------------------------------------------------
 
 
-def _blend_feasible(z: np.ndarray, probs: np.ndarray, c: float, q: float) -> np.ndarray:
-    """Restore ||z||_q <= c exactly by mixing toward the uniform density
-    (norm 1 < c), preserving the unit mass; a no-op when already feasible."""
-    if _q_norm(z, probs, q) <= c:
-        return z
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if _q_norm((1.0 - mid) * z + mid, probs, q) <= c:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * z + hi
-
-
-def _enter_at_kink(d, probs, c, q, r, tau_e):
-    """Direction when the mass root sits at (or below float resolution of) an
-    entry kink: freeze the already-entered coordinates at the kink, which are
-    constant to machine precision across the unresolvable gap, and solve the
-    entering class's coordinate w directly.  The mass of the rescaled
-    direction is increasing in w, so bisection applies."""
-    u = np.clip(d + tau_e, 0.0, None)
-    v = (u / tau_e) ** r
-    entering = (-d == tau_e)
-
-    def mass(w: float) -> float:
-        return _mass_excess(np.where(entering, w, v), probs, c, q)
-
-    if mass(0.0) >= 0.0:
-        return v
-    w_lo, w_hi = 0.0, 1.0
-    if mass(1.0) < 0.0:
-        return np.where(entering, 1.0, v)  # best effort: blend repairs the rest
-    for _ in range(200):
-        mid = 0.5 * (w_lo + w_hi)
-        if mass(mid) < 0.0:
-            w_lo = mid
-        else:
-            w_hi = mid
-    return np.where(entering, 0.5 * (w_lo + w_hi), v)
-
-
-def _root_segment(excess: Callable[[float], float], entries: np.ndarray):
-    """Consecutive sorted entries (lo, hi) with excess(lo) <= 0 < excess(hi),
-    by bisection; hi is None when the excess stays <= 0 through the last one."""
-    if entries.size == 0 or excess(float(entries[0])) > 0.0:
-        raise ScenRiskError("density dual: no bracket below the first entry")
-    k = bisect.bisect_left(range(entries.size), True, lo=1,
-                           key=lambda i: excess(float(entries[i])) > 0.0)
-    return float(entries[k - 1]), float(entries[k]) if k < entries.size else None
-
-
 def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Density]:
-    """max E[-X Z] over {Z >= 0, E[Z] = 1, ||Z||_q <= c} by stationarity.
+    """max E[-X Z] over {Z >= 0, E[Z] = 1, ||Z||_q <= c}, read off the primal.
 
-    Interior case: the vertex Z = 1_{X = min X} / P(min) when its q-norm
-    already fits inside the ball.  Active case: Z is proportional to
-    ((a - lam)^+)^{1/(q-1)} with a = -X, rescaled onto the sphere; the mass
-    constraint E[Z] = 1 pins lam: its excess is monotone in lam, so bisection
-    over the sorted support-entry ladder finds the root's segment in O(log N)
-    evaluations (no bracket raises ScenRiskError) and a relative zoom resolves
-    the root in it.  The optimum value matches the primal hull within 1e-7
-    (strong duality), and Z is returned as the certificate.
+    With p = q/(q-1), the optimal density is the Hoelder equality case at the
+    minimizer s* of phi(s) = c ||(s - X)^+||_p - s, whose mass E[Z_s] is
+    1 + phi'(s).  The hull's bracket gives either the vertex, where Z is the
+    indicator of X = min X over its probability, or adjacent floats lo < hi
+    with E[Z_lo] <= 1 < E[Z_hi]; the two densities are mixed to unit mass,
+    which by convexity stays in the ball and weighs a class entering the
+    support between lo and hi.  When rounding leaves ||Z||_q above c, one
+    step toward the uniform density (norm 1 < c) brings it back inside, by
+    the triangle inequality.  Returns the value E[-X Z], which matches the
+    primal within 1e-7 (strong duality), and Z as the certificate.
     """
     require_finite(c=c, q=q)
     if not (c > 1.0 and q > 1.0):
         raise ParameterError("need c > 1 and q = p/(p-1) > 1")
-    probs = x.space.probs
-    a = -x.values
-    amax = float(a.max())
-    # group ulp-scale near-ties: a gap the lam-bisection cannot resolve anyway
-    tie_tol = 4.0 * np.finfo(float).eps * max(1.0, abs(amax))
-    at_max = a >= amax - tie_tol
-    z_vertex = at_max / float(probs @ at_max)
-    if _q_norm(z_vertex, probs, q) <= c * (1.0 + 1e-12):
-        return float(probs @ (a * z_vertex)), Density(x.space, z_vertex)
+    p = q / (q - 1.0)
+    v, probs = x.values, x.space.probs
+    lo, hi = _higher_order_bracket(v, probs, c, p)
+    if hi is None:
+        z = (v == lo) / float(probs[v == lo].sum())
+    else:
+        m = float(v.min())
 
-    r = 1.0 / (q - 1.0)
-    # solve in the gap tau = amax - lam > 0: u_i = (a_i - amax) + tau avoids
-    # the catastrophic cancellation of a_i - lam when tau is tiny, and the
-    # normalized direction (u/tau)**r never exceeds one
-    d = a - amax
+        def holder(s: float) -> np.ndarray:  # c w^(p-1) / ||w||_p^(p-1), w = (s - X)^+
+            w = _gap_weights(v, s, m)
+            wp1 = w ** (p - 1.0)
+            return c * wp1 / float(probs @ (wp1 * w)) ** ((p - 1.0) / p)
 
-    def mass_excess(tau: float) -> float:
-        return _mass_excess((np.clip(d + tau, 0.0, None) / tau) ** r, probs, c, q)
-
-    def finish(v: np.ndarray):
-        z = c * v / _direction_norm(v, probs, q)
-        z = z / float(probs @ z)
-        z = _blend_feasible(z, probs, c, q)
-        return float(probs @ (a * z)), Density(x.space, z)
-
-    # atoms join the support as tau crosses the entry ladder -d_i > 0; the
-    # mass excess is continuous and nondecreasing in tau, constant before the
-    # first entry, with limit c - 1 > 0, so bisecting its exact signs at the
-    # entries (u vanishes exactly there) finds the root's segment
-    seg_lo, seg_hi = _root_segment(mass_excess, np.unique(-d[d < 0.0]))
-    if seg_hi is None:  # root beyond the last entry: all atoms active, no kink ahead
-        seg_hi = 2.0 * seg_lo
-        for _ in range(200):
-            if mass_excess(seg_hi) > 0.0:
-                break
-            seg_hi *= 2.0
-        else:
-            raise ScenRiskError("density dual: no bracket beyond the last entry")
-
-    # zoom in the distance delta to the lower kink: the entering coordinate
-    # grows like delta**r (infinite slope when q > 2), so the root needs
-    # relative resolution in delta.  Work on the precomputed base d + seg_lo
-    # rather than on tau = seg_lo + delta: the sum would quantize delta at
-    # ulp(seg_lo) and reintroduce the cancellation this stage exists to avoid.
-    base = d + seg_lo
-
-    def dir_at(delta: float) -> np.ndarray:
-        return (np.clip(base + delta, 0.0, None) / (seg_lo + delta)) ** r
-
-    def excess_at(delta: float) -> float:
-        return _mass_excess(dir_at(delta), probs, c, q)
-
-    delta_hi = seg_hi - seg_lo
-    delta_lo = None
-    probe = delta_hi
-    for _ in range(500):
-        probe /= 16.0
-        if probe <= 0.0 or not probe > 5e-324:
-            break  # below float resolution: root is at the kink
-        if excess_at(probe) < 0.0:
-            delta_lo = probe
-            break
-        delta_hi = probe
-    if delta_lo is None:
-        return finish(_enter_at_kink(d, probs, c, q, r, seg_lo))
-    for _ in range(400):
-        if delta_hi <= delta_lo * (1.0 + 1e-14):
-            break
-        mid = math.sqrt(delta_lo * delta_hi)
-        if excess_at(mid) > 0.0:
-            delta_hi = mid
-        else:
-            delta_lo = mid
-    delta = math.sqrt(delta_lo * delta_hi)
-    if abs(excess_at(delta)) > 1e-9:
-        return finish(_enter_at_kink(d, probs, c, q, r, seg_lo))
-    return finish(dir_at(delta))
+        z_lo, z_hi = holder(lo), holder(hi)
+        e_lo, e_hi = float(probs @ z_lo), float(probs @ z_hi)
+        t = min(max((e_hi - 1.0) / (e_hi - e_lo), 0.0), 1.0) if e_hi != e_lo else 1.0
+        z = t * z_lo + (1.0 - t) * z_hi
+    norm = _q_norm(z, probs, q)
+    if norm > c:
+        t = (norm - c * (1.0 - 4.0 * np.finfo(float).eps)) / (norm - 1.0)
+        z = (1.0 - t) * z + t
+    return float(probs @ (-v * z)), Density(x.space, z)
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,11 @@ class Partition:
         return tuple(tuple(cell.tolist()) for cell in np.split(order, starts[1:]))
 
     def _by_cell(self):
-        """Atoms grouped by cell (ascending inside each), cell sizes, cell starts."""
+        """Atoms grouped by cell (ascending inside each), cell sizes, cell starts;
+        labels narrowed to uint8 or uint16 make the stable sort a radix sort."""
         sizes = self.cell_sizes
-        return np.argsort(self.labels, kind="stable"), sizes, np.cumsum(sizes) - sizes
+        narrow = self.labels.astype(np.min_scalar_type(sizes.size - 1))
+        return np.argsort(narrow, kind="stable"), sizes, np.cumsum(sizes) - sizes
 
     def is_refinement_of(self, coarser: "Partition") -> bool:
         """True when every cell of ``self`` sits inside a cell of ``coarser``."""

@@ -226,31 +226,26 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
     return value
 
 
-def higher_order_T(x: RandomVariable, c: float, p: float) -> float:
-    """inf_s phi(s), phi(s) = c ||(s - X)^+||_p - s (F = c*x, G = x**p, H = x^+).
+def _gap_weights(v: np.ndarray, s: float, m: float) -> np.ndarray:
+    """(s - X)^+ / (s - m), m = min X, and its limit 1_{X = m} at s = m."""
+    if s == m:
+        return (v == m).astype(float)
+    return np.maximum(s - v, 0.0) / (s - m)
 
-    ``p = 1`` is AVaR_{1/c} by Rockafellar-Uryasev (-E[X] at c = 1).  For
-    p > 1 the vertex s = min X is optimal when the right slope of the convex
-    phi there, c P(X = min X)**(1/p) - 1, is nonnegative.  Otherwise the sign
-    of phi'(s) = c E[w^(p-1)] / E[w^p]^((p-1)/p) - 1, w = (s - X)^+ / (s - min X),
-    which tends to c - 1 > 0, is bisected until the midpoint no longer splits.
-    """
-    _check_higher_order_params(c, p)
-    if p == 1.0:
-        return avar(x, 1.0 / c)
-    v, probs = x.values, x.space.probs
+
+def _higher_order_bracket(v: np.ndarray, probs: np.ndarray, c: float, p: float):
+    """Minimizer of phi(s) = c ||(s - X)^+||_p - s for p > 1, as ``(min X, None)``
+    when the vertex is optimal (the right slope c P(X = min X)**(1/p) - 1 of
+    the convex phi there is nonnegative), else as adjacent floats ``lo < hi``
+    with phi'(lo) <= 0 < phi'(hi).  phi'(s) = c E[w^(p-1)] / E[w^p]^((p-1)/p) - 1
+    with w the gap weights tends to c - 1 > 0; its sign is bisected until the
+    midpoint no longer splits."""
     m = float(v.min())
     if c * float(probs[v == m].sum()) ** (1.0 / p) >= 1.0:
-        return -m
-
-    def w_at(s: float) -> np.ndarray:  # (s - X)^+ scaled to peak at one, for s > m
-        return np.maximum(s - v, 0.0) / (s - m)
-
-    def phi(s: float) -> float:
-        return c * (s - m) * float(probs @ w_at(s) ** p) ** (1.0 / p) - s
+        return m, None
 
     def slope(s: float) -> float:
-        w = w_at(s)
+        w = _gap_weights(v, s, m)
         wp1 = w ** (p - 1.0)
         return c * float(probs @ wp1) / float(probs @ (wp1 * w)) ** ((p - 1.0) / p) - 1.0
 
@@ -263,6 +258,27 @@ def higher_order_T(x: RandomVariable, c: float, p: float) -> float:
             hi = mid
         else:
             lo = mid
+    return lo, hi
+
+
+def higher_order_T(x: RandomVariable, c: float, p: float) -> float:
+    """inf_s phi(s), phi(s) = c ||(s - X)^+||_p - s (F = c*x, G = x**p, H = x^+).
+
+    ``p = 1`` is AVaR_{1/c} by Rockafellar-Uryasev (-E[X] at c = 1); for p > 1
+    the smaller value at the ends of :func:`_higher_order_bracket` is taken.
+    """
+    _check_higher_order_params(c, p)
+    if p == 1.0:
+        return avar(x, 1.0 / c)
+    v, probs = x.values, x.space.probs
+    lo, hi = _higher_order_bracket(v, probs, c, p)
+    if hi is None:
+        return -lo
+    m = float(v.min())
+
+    def phi(s: float) -> float:
+        return c * (s - m) * float(probs @ _gap_weights(v, s, m) ** p) ** (1.0 / p) - s
+
     return min(phi(lo) if lo > m else -m, phi(hi))
 
 

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from scenrisk import (
     Partition,
     RandomVariable,
     RiskFunctional,
-    ScenRiskError,
     UnresolvedConjugateError,
     avar,
     conjugate_dilatation_check,
@@ -29,7 +27,7 @@ from scenrisk import (
     power,
     t_sharp_eta,
 )
-from scenrisk.duality import _q_norm, _root_segment
+from scenrisk.duality import _q_norm
 
 from conftest import variables
 
@@ -258,6 +256,26 @@ def test_dual_root_hugging_an_entry_kink():
     assert abs(z.values[0] - z.values[2]) <= 1e-4
 
 
+@pytest.mark.parametrize("weights, values, p", [
+    ([0.3, 0.7], [0.0, 1.0], 1.5),
+    # here the bracket's lower end is min X itself
+    ([1.0, 7.0, 7.0], [0.0, 1.0, 1.0], 2.0),
+])
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_dual_stays_in_the_ball_at_the_vertex_boundary(weights, values, p, ulps):
+    # c P(min)**(1/p) = 1 up to rounding: the vertex density sits on the
+    # sphere, and on either side of the boundary it must not leave the ball
+    space = FiniteProbSpace.from_weights(np.array(weights))
+    x = RandomVariable(space, np.array(values))
+    c = float(space.probs[0]) ** (-1.0 / p)
+    for _ in range(abs(ulps)):
+        c = float(np.nextafter(c, math.copysign(INF, ulps)))
+    q = p / (p - 1.0)
+    value, z = dual_higher_order(x, c, q)
+    assert _q_norm(z.values, space.probs, q) <= c
+    assert abs(value - higher_order_T(x, c, p)) <= 1e-12
+
+
 def test_dual_stress_wide_parameters():
     rng = np.random.default_rng(515)
     worst_gap, worst_excess = 0.0, 0.0
@@ -319,16 +337,6 @@ def test_dual_and_kusuoka_reject_non_finite_parameters(coin):
                        ("c", lambda: kusuoka_value(coin, INF, 2.0))):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             call()
-
-
-def test_root_segment_brackets_or_raises():
-    entries = np.array([1.0, 2.0, 4.0])
-    with pytest.raises(ScenRiskError):
-        _root_segment(lambda tau: 1.0, entries)
-    with pytest.raises(ScenRiskError):
-        _root_segment(lambda tau: -1.0, np.array([]))
-    assert _root_segment(lambda tau: -1.0, entries) == (4.0, None)
-    assert _root_segment(lambda tau: tau - 3.0, entries) == (2.0, 4.0)
 
 
 def test_t_sharp_eta_generic_path_runs():
@@ -449,32 +457,6 @@ def test_kusuoka_read_off_is_exact_and_feasible(x, c, p):
     for a in np.minimum(breaks, 1.0):
         if a ** (1.0 - q) <= c ** q:
             assert avar(x, a) <= value + slack
-
-
-def _linear_scan(excess, entries):
-    """The root's segment found one entry at a time: the slow reference."""
-    seg_lo = None
-    for tau_e in entries:
-        if excess(float(tau_e)) > 0.0:
-            return seg_lo, float(tau_e)
-        seg_lo = float(tau_e)
-    return seg_lo, None
-
-
-@given(books(), st.sampled_from([1.05, 1.5, 2.0, 4.0]), st.sampled_from([1.2, 1.5, 2.0, 3.0]))
-@settings(max_examples=60, deadline=None)
-def test_dual_bisected_segment_matches_a_linear_scan(x, c, p):
-    calls = []
-
-    def recording(excess, entries):
-        seg = _root_segment(excess, entries)
-        calls.append((excess, entries, seg))
-        return seg
-
-    with mock.patch("scenrisk.duality._root_segment", recording):
-        dual_higher_order(x, c, p / (p - 1.0))
-    for excess, entries, seg in calls:
-        assert seg == _linear_scan(excess, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,20 @@ def test_partition_api_used_by_the_benchmark():
     assert all(type(i) is int for c in cells for i in c)
 
 
+@pytest.mark.parametrize("n_cells", [1, 255, 256, 257, 65_535, 65_536, 65_537])
+def test_cell_order_matches_the_wide_label_sort(n_cells):
+    # the cell order sorts narrowed labels; at the uint8 and uint16 limits it
+    # must still be the stable sort of the int64 labels
+    rng = np.random.default_rng(n_cells)
+    n = n_cells + 1_000
+    labels = rng.permutation(np.concatenate([np.arange(n_cells), rng.integers(0, n_cells, 1_000)]))
+    part = Partition.from_labels(FiniteProbSpace.uniform(n), labels)
+    assert part.n_cells == n_cells
+    order = part._by_cell()[0]
+    assert np.array_equal(order, np.argsort(part.labels.astype(np.int64), kind="stable"))
+    assert part.labels.dtype == np.intp
+
+
 # ---------------------------------------------------------------------------
 # conditional expectation
 # ---------------------------------------------------------------------------
