@@ -7,7 +7,6 @@ dual-representation and Kusuoka-mixture identities.
 """
 
 from .duality import (
-    ConjugateValue,
     Density,
     MixingMeasure,
     conjugate_dilatation_check,

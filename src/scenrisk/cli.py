@@ -149,7 +149,7 @@ def _dispatch(args) -> int:
         primal = higher_order_T(x, args.c, args.p)
         dual_val, z = dual_higher_order(x, args.c, q)
         rho = RiskFunctional.higher_order(args.c, args.p)
-        gap = fenchel_gap(rho, x, -z.as_variable(), restarts=0)
+        gap = fenchel_gap(rho, x, -z.as_variable())
         print(f"primal: {primal:.12g}")
         print(f"dual: {dual_val:.12g}")
         print(f"duality_gap: {abs(primal - dual_val):.3g}")
@@ -171,8 +171,9 @@ def _dispatch(args) -> int:
 
     if args.verb == "lemma21":
         delta = discretization_slack(x)
+        sequence = lemma21_sequence(x, args.n_max)
         print(f"slack: {delta:.6g}")
-        for part, k1, eps in lemma21_sequence(x, args.n_max):
+        for part, k1, eps in sequence:
             ce = cond_exp(x, part)
             dom = float(np.max(np.abs(ce.values) - np.abs(x.values)))
             l1 = (ce - x).l1()

@@ -4,11 +4,12 @@ The conjugate of a risk functional over simple variables,
 
     rho#(Y) = sup_X { E[XY] - rho(X) },
 
-is not finitely computable for arbitrary rho, so :func:`conjugate_sharp` is
-honest about status: closed forms where the family pins them down (AVaR and
-the higher-order family have indicator conjugates over density sets),
-divergence flags along the rays that force +inf for cash-additive monotone
-functionals, and certified lower bounds from multi-start ascent otherwise.
+is computed exactly by :func:`conjugate_sharp`, or refused.  Every built-in
+family is cash-additive and monotone, so rho#(-Z) = +inf unless Z is a
+density; on a density it is the family's penalty in closed form: the 0/inf
+indicator of a density box or ball for AVaR and T_{c,p}, and F*(||Z||*_G)
+(the Orlicz norm) for a transformed triple with H = x^+.  Custom functionals
+and other H raise UnresolvedConjugateError; nothing is searched.
 
 The higher-order dual  max{ E[-X Z] : Z >= 0, E[Z] = 1, ||Z||_q <= c }  has
 no search of its own: its optimum is the Hoelder equality case
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,11 +34,9 @@ from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError, req
 from .orlicz import orlicz_norm, perspective
 from .prob_core import FiniteProbSpace, Partition, RandomVariable, cond_exp
 from .risk_core import (OrliczTriple, RiskFunctional, _gap_weights, _higher_order_bracket,
-                        avar_many)
+                        _require_fgh2, avar_many)
 
 INF = math.inf
-
-DIVERGENCE_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
@@ -107,178 +106,84 @@ def _q_norm(values: np.ndarray, probs: np.ndarray, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# conjugate with certificate
+# exact conjugate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugateValue:
-    """Conjugate evaluation with provenance.
-
-    status: "closed_form" (exact), "diverged" (certified +inf along a ray) or
-    "lower_bound" (best ascent value only; not a certified conjugate).
-    """
-
-    value: float
-    status: str
-    lower_bound: float
-    best_point: Optional[np.ndarray] = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.status != "lower_bound"
-
-
 def _dual_ball(rho: RiskFunctional):
-    """Recognize families whose conjugate is the indicator of a density set.
-
-    Returns ("box", bound) for sup-bounded densities (AVaR-type) or
-    ("ball", c, q) for q-norm-bounded densities (higher-order type); None if
-    the family is not recognized.
-    """
+    """The density set whose 0/inf indicator is the penalty of AVaR or T_{c,p}:
+    ("box", bound) for sup-bounded densities, ("ball", c, q) for q-norm-bounded
+    ones."""
     if rho.kind == "avar":
         return ("box", 1.0 / rho.alpha)
-    if rho.kind == "higher_order":
-        c, p = rho.c, rho.p
-        if p == 1.0:
-            return ("box", c)
-        return ("ball", c, p / (p - 1.0))
-    if rho.kind == "transformed" and rho.triple is not None:
-        t = rho.triple
-        if t.f.name == "linear" and t.h.name == "positive_part":
-            c = t.f.params[0]
-            if t.g.name == "linear":
-                return ("box", c * t.g.params[0])
-            if t.g.name == "power" and t.g.params[1] == 1.0:
-                p = t.g.params[0]
-                return ("ball", c, p / (p - 1.0))
-    return None
+    c, p = rho.c, rho.p
+    if p == 1.0:
+        return ("box", c)
+    return ("ball", c, p / (p - 1.0))
 
 
 def _ball_membership(ball, z: np.ndarray, probs: np.ndarray) -> bool:
-    if np.any(z < -1e-12):
-        return False
-    if abs(float(probs @ z) - 1.0) > 1e-9:
-        return False
     if ball[0] == "box":
         return float(np.max(z)) <= ball[1] * (1.0 + 1e-12) + 1e-12
     _, c, q = ball
     return _q_norm(z, probs, q) <= c + 1e-9
 
 
-def _ray_divergence(obj: Callable, y: np.ndarray) -> bool:
-    """Probe the rays that force an infinite conjugate for cash-additive
-    monotone functionals: constants (mass mismatch) and indicators of the
-    sign sets of y (monotonicity violation), plus single-atom spikes."""
-    n = y.size
-    rays = [np.ones(n), -np.ones(n)]
-    if np.any(y > 0):
-        rays.append((y > 0).astype(float))
-    if np.any(y < 0):
-        rays.append(-(y < 0).astype(float))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = -1.0
-        rays.append(e)
-    for d in rays:
-        for k in range(0, 22):
-            if obj((2.0 ** k) * d) > DIVERGENCE_THRESHOLD:
-                return True
-    return False
+def _positive_part_penalty(t: OrliczTriple, z: RandomVariable) -> float:
+    """F*(||z||*_G), the penalty of the density z for a triple with H = x^+.
+
+    With W = s - X and E[z] = 1 the conjugate is sup_W {E[Wz] - F(||W^+||_G)}.
+    The best W is nonnegative, and sup{E[Wz] : W >= 0, ||W||_G = r} is
+    r ||z||*_G, with ||.||*_G the Orlicz (Amemiya) norm; the sup over r >= 0
+    is F*(||z||*_G).  A linear F = c x gives the 0/inf indicator of the ball
+    ||z||*_G <= c."""
+    norm = orlicz_norm(z, t.g)
+    if t.f.name == "linear":
+        return 0.0 if norm <= t.f.params[0] + 1e-9 else INF
+    return t.f.conjugate()(norm)
 
 
-def _pattern_search(obj: Callable, x0: np.ndarray, iters: int = 200):
-    x = x0.copy()
-    fx = obj(x)
-    step = 1.0
-    for _ in range(iters):
-        improved = False
-        for i in range(x.size):
-            for d in (step, -step):
-                cand = x.copy()
-                cand[i] += d
-                fc = obj(cand)
-                if fc > fx:
-                    x, fx = cand, fc
-                    improved = True
-        if improved:
-            step = min(step * 2.0, 1e6)  # grow the search box while it pays
-        else:
-            step *= 0.5
-            if step < 1e-9:
-                break
-    return x, fx
+def conjugate_sharp(rho: RiskFunctional, y: RandomVariable) -> float:
+    """rho#(y) = sup_X {E[Xy] - rho(X)}, exact, or a refusal.
 
-
-def conjugate_sharp(rho: RiskFunctional, y: RandomVariable,
-                    restarts: int = 2, seed: int = 0) -> ConjugateValue:
-    """Best-effort rho#(y) = sup_X {E[Xy] - rho(X)} with a certificate.
-
-    Recognized families resolve exactly (indicator of their density set).
-    Otherwise ray probes certify divergence, and multi-start pattern search
-    supplies a certified lower bound (any evaluated point is one).
+    Every built-in family is cash-additive and monotone, so rho#(y) = +inf
+    unless z = -y is a density (nonnegative within 1e-12, unit mass within
+    1e-9).  On a density the conjugate is the family's penalty: the 0/inf
+    indicator of the density box or ball for AVaR and T_{c,p}, and
+    F*(||z||*_G) for a transformed triple with H = x^+.  Raises
+    UnresolvedConjugateError for a custom functional or any other H, and
+    CoercivityError for a triple whose (FGH2) fails, as ``transformed_T`` does.
     """
-    probs = y.space.probs
-
-    def obj(vals: np.ndarray) -> float:
-        xv = RandomVariable(y.space, vals)
-        r = rho(xv)
-        if r == INF:
-            return -INF
-        return float(probs @ (vals * y.values)) - r
-
-    ball = _dual_ball(rho)
-    closed = None
-    if ball is not None:
-        closed = 0.0 if _ball_membership(ball, -y.values, probs) else INF
-
-    diverged = _ray_divergence(obj, y.values) if closed is None or restarts > 0 else False
-
-    lower = -INF
-    best_point = None
-    if restarts > 0:
-        rng = np.random.default_rng(seed)
-        starts = [np.zeros(y.space.atom_count), -y.values.copy()]
-        for _ in range(max(0, restarts - 1)):
-            starts.append(rng.normal(scale=2.0, size=y.space.atom_count))
-        for s in starts:
-            pt, val = _pattern_search(obj, s)
-            if val > lower:
-                lower, best_point = val, pt
-
-    if closed is not None:
-        return ConjugateValue(closed, "closed_form", lower, best_point)
-    if diverged:
-        return ConjugateValue(INF, "diverged", max(lower, DIVERGENCE_THRESHOLD), best_point)
-    return ConjugateValue(lower, "lower_bound", lower, best_point)
+    if rho.kind == "custom":
+        raise UnresolvedConjugateError("a custom functional has no exact conjugate")
+    z, probs = -y.values, y.space.probs
+    if np.any(z < -1e-12) or abs(float(probs @ z) - 1.0) > 1e-9:
+        return INF
+    if rho.kind != "transformed":
+        return 0.0 if _ball_membership(_dual_ball(rho), z, probs) else INF
+    t = rho.triple
+    _require_fgh2(t)
+    if t.h.name != "positive_part":
+        raise UnresolvedConjugateError(
+            f"no exact conjugate for a transformed triple with H = {t.h.name}")
+    return _positive_part_penalty(t, -y)
 
 
-def fenchel_gap(rho: RiskFunctional, x: RandomVariable, y: RandomVariable,
-                restarts: int = 2, seed: int = 0) -> float:
-    """rho(x) + rho#(y) - E[xy]; nonnegative for every resolved pair.
+def fenchel_gap(rho: RiskFunctional, x: RandomVariable, y: RandomVariable) -> float:
+    """rho(x) + rho#(y) - E[xy]; nonnegative by Fenchel's inequality.
 
     The dual representation is certified at x when some y drives the gap
-    below 1e-5.  Refuses when the conjugate is only a lower bound."""
-    cs = conjugate_sharp(rho, y, restarts=restarts, seed=seed)
-    if not cs.resolved:
-        raise UnresolvedConjugateError(
-            "conjugate is lower-bound-only; gap would be meaningless"
-        )
+    below 1e-5."""
+    conj = conjugate_sharp(rho, y)
     pairing = float(x.space.probs @ (x.values * y.values))
-    return float(rho(x)) + cs.value - pairing
+    return float(rho(x)) + conj - pairing
 
 
-def conjugate_dilatation_check(rho: RiskFunctional, y: RandomVariable, p: Partition,
-                               restarts: int = 0, seed: int = 0) -> bool:
+def conjugate_dilatation_check(rho: RiskFunctional, y: RandomVariable, p: Partition) -> bool:
     """Check rho#(E[Y|p]) <= rho#(Y) + 1e-5 (coarsening never increases the
-    conjugate).  Raises when either side is unresolved."""
-    lhs = conjugate_sharp(rho, cond_exp(y, p), restarts=restarts, seed=seed)
-    rhs = conjugate_sharp(rho, y, restarts=restarts, seed=seed)
-    if not (lhs.resolved and rhs.resolved):
-        raise UnresolvedConjugateError("conjugate unresolved on one side")
-    if rhs.value == INF:
-        return True
-    return lhs.value <= rhs.value + 1e-5
+    conjugate)."""
+    rhs = conjugate_sharp(rho, y)
+    return rhs == INF or conjugate_sharp(rho, cond_exp(y, p)) <= rhs + 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +241,15 @@ def t_sharp_eta(t: OrliczTriple, z: Density, eta_grid: int = 200) -> float:
     """min over eta >= 0 with {eta = 0} inside {z = 0} of
     E[eta * Hconj(z/eta on the support)] + Fconj(||eta||*_G).
 
-    For a linear outer transform with positive-part reshaping the problem
-    collapses: feasible (value 0) exactly when the Orlicz norm of z stays
-    within the slope, +inf otherwise.  Other triples go through a projected
-    subgradient on eta seeded at z; the result is a best-effort upper value.
+    With positive-part reshaping the problem collapses: H* is the indicator
+    of [0, 1], so eta >= z, and eta = z is optimal, giving F*(||z||*_G) (for a
+    linear F, 0 inside the Orlicz-norm ball and +inf outside).  Other H go
+    through a projected subgradient on eta seeded at z; the result is a
+    best-effort upper value.
     """
     probs = z.space.probs
-    if t.f.name == "linear" and t.h.name == "positive_part":
-        c = t.f.params[0]
-        return 0.0 if orlicz_norm(z.as_variable(), t.g) <= c + 1e-9 else INF
+    if t.h.name == "positive_part":
+        return _positive_part_penalty(t, z.as_variable())
 
     fstar = t.f.conjugate()
     support = z.values > 0.0

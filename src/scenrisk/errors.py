@@ -24,7 +24,8 @@ class CoercivityError(ScenRiskError):
 
 
 class UnresolvedConjugateError(ScenRiskError):
-    """A conjugate value is only available as a lower bound, not a certified value."""
+    """No exact conjugate is known: a custom functional, or a transformed
+    triple whose H is not the positive part."""
 
 
 class InvalidOrliczError(ScenRiskError):

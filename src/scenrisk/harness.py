@@ -170,6 +170,10 @@ class BatteryConfig:
     seed: int = DEFAULT_SEED
     tolerance: float = 1e-7
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ParameterError(f"trials must be at least 1, got {self.trials}")
+
     def rho_pool(self) -> List[RiskFunctional]:
         pool: List[RiskFunctional] = []
         for fam in self.families:

@@ -143,6 +143,8 @@ def avar(x: RandomVariable, alpha: float) -> float:
 def avar_many(x: RandomVariable, alphas: np.ndarray) -> np.ndarray:
     """Vectorized ``avar`` over a whole level grid (single sort)."""
     alphas = np.asarray(alphas, dtype=float)
+    if not np.all((alphas > 0.0) & (alphas <= 1.0)):
+        raise ParameterError("every alpha must lie in (0, 1]")
     order = np.argsort(x.values, kind="stable")
     v = x.values[order]
     pr = x.space.probs[order]
@@ -217,13 +219,17 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
     the hull is attempted anyway and a missing bracket surfaces as
     CoercivityError.
     """
-    flag = t.fgh2
-    if flag is TriState.UNKNOWN:
-        flag = fgh2_check(t)
-    if flag is TriState.FAILS:
-        raise CoercivityError("FGH2 fails: hull objective is not coercive")
+    _require_fgh2(t)
     value, _ = cash_hull(lambda y: f_transformed(y, t), x)
     return value
+
+
+def _require_fgh2(t: OrliczTriple) -> None:
+    """Raise CoercivityError when (FGH2) is known to fail, resolving an
+    UNKNOWN flag by running the checker."""
+    flag = t.fgh2 if t.fgh2 is not TriState.UNKNOWN else fgh2_check(t)
+    if flag is TriState.FAILS:
+        raise CoercivityError("FGH2 fails: hull objective is not coercive")
 
 
 def _gap_weights(v: np.ndarray, s: float, m: float) -> np.ndarray:

@@ -21,8 +21,10 @@ from scenrisk import (
     cash_hull,
     cond_exp,
     conjugate_dilatation_check,
+    conjugate_sharp,
     discretization_slack,
     dual_higher_order,
+    exp_minus_one,
     extend_sup,
     f_transformed,
     fgh1_check,
@@ -264,11 +266,33 @@ def test_criterion_9_conjugate_dilatation():
         else:  # arbitrary vector
             y = RandomVariable(space, rng.normal(size=space.atom_count))
         part = random_partition(space, rng)
-        if not conjugate_dilatation_check(rho, y, part, restarts=0):
+        if not conjugate_dilatation_check(rho, y, part):
             failures += 1
     elapsed = time.perf_counter() - t0
     _report("9 conjugate dilatation monotonicity", failures == 0,
             f"{failures} violations over 200 trials (tolerance 1e-5)", elapsed, 10.0)
+
+
+def test_conjugate_dilatation_for_penalized_families():
+    # beyond criterion 9's AVaR boxes: the T_{c,p} ball and the finite
+    # penalty F*(||Z||_2) of the (exp(x) - 1, x^2, x^+) triple
+    rng = np.random.default_rng(919)
+    rhos = (RiskFunctional.higher_order(2.0, 2.0),
+            RiskFunctional.transformed(
+                OrliczTriple.checked(exp_minus_one(), power(2), positive_part())))
+    finite = 0
+    for _ in range(100):
+        space = _random_space(rng, 12)
+        if rng.random() < 0.8:
+            z = rng.uniform(0.0, 1.0, size=space.atom_count) ** float(rng.uniform(0.5, 4.0))
+            y = RandomVariable(space, -z / float(space.probs @ z))
+        else:
+            y = RandomVariable(space, rng.normal(size=space.atom_count))
+        part = random_partition(space, rng)
+        for rho in rhos:
+            assert conjugate_dilatation_check(rho, y, part)
+        finite += math.isfinite(conjugate_sharp(rhos[1], y))
+    assert finite >= 60
 
 
 def test_criterion_10_fgh_checkers():

@@ -422,6 +422,10 @@ def test_cli_kusuoka(capsys):
     (["dual", "--p", "inf"], None),
     (["kusuoka", "--c", "inf"], None),
     (["eval", "--measure", "higher_order", "--c", "nan"], None),
+    (["lemma21"], None),
+    (["lemma21", "--n-max", "1"], None),
+    (["battery", "--trials", "0"], None),
+    (["battery", "--trials", "-3"], None),
 ])
 def test_cli_bad_request_exits_2_with_one_error_line(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:

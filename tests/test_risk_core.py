@@ -85,6 +85,14 @@ def test_avar_many_matches_scalar(x):
         assert got == pytest.approx(avar(x, float(a)), abs=1e-12)
 
 
+@pytest.mark.parametrize("level", [1.5, -0.1, 0.0, math.nan])
+def test_avar_many_rejects_levels_outside_the_unit_interval(x1234, level):
+    from scenrisk import ParameterError, avar_many
+    for call in (lambda: avar(x1234, level), lambda: avar_many(x1234, [0.5, level])):
+        with pytest.raises(ParameterError):
+            call()
+
+
 @given(variables(lo=-6, hi=6, max_atoms=6))
 @settings(max_examples=40, deadline=None)
 def test_avar_matches_ru_grid(x):
