@@ -60,7 +60,6 @@ from .orlicz import (
     linear,
     luxemburg_norm,
     orlicz_norm,
-    perspective,
     positive_part,
     power,
     validate_orlicz,

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .duality import dual_higher_order, fenchel_gap, kusuoka_value
+from .duality import conjugate_sharp, dual_higher_order, kusuoka_value
 from .errors import ParameterError, ScenRiskError
 from .extension import discretization_slack, extend_sup, lemma21_sequence, refinement_convergence
 from .harness import (
@@ -148,8 +148,9 @@ def _dispatch(args) -> int:
         q = args.p / (args.p - 1.0)
         primal = higher_order_T(x, args.c, args.p)
         dual_val, z = dual_higher_order(x, args.c, q)
+        # the Fenchel gap rho(x) + rho#(-z) - E[x(-z)], with E[x(-z)] = dual_val
         rho = RiskFunctional.higher_order(args.c, args.p)
-        gap = fenchel_gap(rho, x, -z.as_variable())
+        gap = primal + conjugate_sharp(rho, -z.as_variable()) - dual_val
         print(f"primal: {primal:.12g}")
         print(f"dual: {dual_val:.12g}")
         print(f"duality_gap: {abs(primal - dual_val):.3g}")

@@ -7,9 +7,9 @@ The conjugate of a risk functional over simple variables,
 is computed exactly by :func:`conjugate_sharp`, or refused.  Every built-in
 family is cash-additive and monotone, so rho#(-Z) = +inf unless Z is a
 density; on a density it is the family's penalty in closed form: the 0/inf
-indicator of a density box or ball for AVaR and T_{c,p}, and F*(||Z||*_G)
-(the Orlicz norm) for a transformed triple with H = x^+.  Custom functionals
-and other H raise UnresolvedConjugateError; nothing is searched.
+indicator of a density box or ball for AVaR and T_{c,p}, and
+:func:`t_sharp_eta` for a transformed triple with H = x^+ or H = exp.  Other
+functionals and triples raise UnresolvedConjugateError; nothing is searched.
 
 The higher-order dual  max{ E[-X Z] : Z >= 0, E[Z] = 1, ||Z||_q <= c }  has
 no search of its own: its optimum is the Hoelder equality case
@@ -31,12 +31,13 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError, require_finite
-from .orlicz import orlicz_norm, perspective
+from .orlicz import orlicz_norm
 from .prob_core import FiniteProbSpace, Partition, RandomVariable, cond_exp
 from .risk_core import (OrliczTriple, RiskFunctional, _gap_weights, _higher_order_bracket,
                         _require_fgh2, avar_many)
 
 INF = math.inf
+OMEGA = 0.5671432904097838  # the omega constant: OMEGA * exp(OMEGA) = 1
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def _ball_membership(ball, z: np.ndarray, probs: np.ndarray) -> bool:
     return _q_norm(z, probs, q) <= c + 1e-9
 
 
-def _positive_part_penalty(t: OrliczTriple, z: RandomVariable) -> float:
+def _positive_part_penalty(t: OrliczTriple, z) -> float:
     """F*(||z||*_G), the penalty of the density z for a triple with H = x^+.
 
     With W = s - X and E[z] = 1 the conjugate is sup_W {E[Wz] - F(||W^+||_G)}.
@@ -143,6 +144,59 @@ def _positive_part_penalty(t: OrliczTriple, z: RandomVariable) -> float:
     return t.f.conjugate()(norm)
 
 
+# kappa_F = min_u {F(u) - log u}, by the kind's parameters
+_LOG_OFFSET = {
+    "linear": lambda c: 1.0 + math.log(c),
+    "power": lambda p, coef: (1.0 + math.log(p * coef)) / p,
+    "cap": lambda theta: -math.log(theta),
+    "exp_minus_one": lambda: 1.0 / OMEGA + OMEGA - 1.0,
+}
+# sup{E[z log W] : ||W||_G <= 1}, from the entropy E[z log z] and the kind's parameters
+_LOG_SUP = {
+    "power": lambda entropy, p, coef: (entropy - math.log(coef)) / p,
+    "linear": lambda entropy, a: entropy - math.log(a),
+    "cap": lambda entropy, theta: math.log(theta),
+}
+
+
+def _exponential_penalty(t: OrliczTriple, z: np.ndarray, probs: np.ndarray) -> float:
+    """T#(-z) for a triple with H = exp, in closed form.
+
+    ||e^(s - X)||_G = e^s ||e^(-X)||_G, so substituting u = e^s ||e^(-X)||_G in
+    the hull gives T(X) = kappa_F + log ||e^(-X)||_G with
+    kappa_F = min_u {F(u) - log u}.  With W = e^(-X) / ||e^(-X)||_G and
+    E[z] = 1 the conjugate is sup{E[z log W] : ||W||_G <= 1} - kappa_F.  By
+    Gibbs' inequality the sup sits at W^p = z / coef for G = coef x^p, at
+    W = z / a for G = a x, and at W = theta for cap_at(theta); E[z log z] is
+    summed over z > 0.  Any other F or G raises UnresolvedConjugateError, and
+    cap_at(0) as F or G, which makes T identically +inf, ParameterError.
+    """
+    f, g = t.f, t.g
+    if f.name not in _LOG_OFFSET or g.name not in _LOG_SUP:
+        raise UnresolvedConjugateError(
+            f"no exact conjugate for H = exp with F = {f.name} and G = {g.name}")
+    if ("cap", (0.0,)) in ((f.name, f.params), (g.name, g.params)):
+        raise ParameterError("cap_at(0) as F or G makes T identically +inf for H = exp")
+    pos = z > 0.0
+    entropy = float(probs[pos] @ (z[pos] * np.log(z[pos])))
+    return _LOG_SUP[g.name](entropy, *g.params) - _LOG_OFFSET[f.name](*f.params)
+
+
+def t_sharp_eta(t: OrliczTriple, z) -> float:
+    """The penalty T#(-z) of the triple t at a density z (a Density, or a
+    RandomVariable holding one): the minimum of the eta-form
+    E[eta H*(z / eta)] + F*(||eta||*_G), in closed form.  For H = x^+, H* is the
+    indicator of [0, 1], eta = z is optimal and the value is F*(||z||*_G); H = exp
+    goes to :func:`_exponential_penalty`; other H raise UnresolvedConjugateError.
+    """
+    if t.h.name == "positive_part":
+        return _positive_part_penalty(t, z)
+    if t.h.name == "exponential":
+        return _exponential_penalty(t, z.values, z.space.probs)
+    raise UnresolvedConjugateError(
+        f"no exact conjugate for a transformed triple with H = {t.h.name}")
+
+
 def conjugate_sharp(rho: RiskFunctional, y: RandomVariable) -> float:
     """rho#(y) = sup_X {E[Xy] - rho(X)}, exact, or a refusal.
 
@@ -150,9 +204,10 @@ def conjugate_sharp(rho: RiskFunctional, y: RandomVariable) -> float:
     unless z = -y is a density (nonnegative within 1e-12, unit mass within
     1e-9).  On a density the conjugate is the family's penalty: the 0/inf
     indicator of the density box or ball for AVaR and T_{c,p}, and
-    F*(||z||*_G) for a transformed triple with H = x^+.  Raises
-    UnresolvedConjugateError for a custom functional or any other H, and
-    CoercivityError for a triple whose (FGH2) fails, as ``transformed_T`` does.
+    :func:`t_sharp_eta` for a transformed triple.  Raises
+    UnresolvedConjugateError for a custom functional and for a triple that
+    ``t_sharp_eta`` refuses, and CoercivityError for a triple whose (FGH2)
+    fails, as ``transformed_T`` does.
     """
     if rho.kind == "custom":
         raise UnresolvedConjugateError("a custom functional has no exact conjugate")
@@ -161,12 +216,8 @@ def conjugate_sharp(rho: RiskFunctional, y: RandomVariable) -> float:
         return INF
     if rho.kind != "transformed":
         return 0.0 if _ball_membership(_dual_ball(rho), z, probs) else INF
-    t = rho.triple
-    _require_fgh2(t)
-    if t.h.name != "positive_part":
-        raise UnresolvedConjugateError(
-            f"no exact conjugate for a transformed triple with H = {t.h.name}")
-    return _positive_part_penalty(t, -y)
+    _require_fgh2(rho.triple)
+    return t_sharp_eta(rho.triple, -y)
 
 
 def fenchel_gap(rho: RiskFunctional, x: RandomVariable, y: RandomVariable) -> float:
@@ -230,74 +281,6 @@ def dual_higher_order(x: RandomVariable, c: float, q: float) -> Tuple[float, Den
         t = (norm - c * (1.0 - 4.0 * np.finfo(float).eps)) / (norm - 1.0)
         z = (1.0 - t) * z + t
     return float(probs @ (-v * z)), Density(x.space, z)
-
-
-# ---------------------------------------------------------------------------
-# eta-form of the transformed-norm conjugate
-# ---------------------------------------------------------------------------
-
-
-def t_sharp_eta(t: OrliczTriple, z: Density, eta_grid: int = 200) -> float:
-    """min over eta >= 0 with {eta = 0} inside {z = 0} of
-    E[eta * Hconj(z/eta on the support)] + Fconj(||eta||*_G).
-
-    With positive-part reshaping the problem collapses: H* is the indicator
-    of [0, 1], so eta >= z, and eta = z is optimal, giving F*(||z||*_G) (for a
-    linear F, 0 inside the Orlicz-norm ball and +inf outside).  Other H go
-    through a projected subgradient on eta seeded at z; the result is a
-    best-effort upper value.
-    """
-    probs = z.space.probs
-    if t.h.name == "positive_part":
-        return _positive_part_penalty(t, z.as_variable())
-
-    fstar = t.f.conjugate()
-    support = z.values > 0.0
-
-    def objective(eta: np.ndarray) -> float:
-        if np.any(eta < 0.0) or np.any(support & (eta <= 0.0)):
-            return INF
-        total = 0.0
-        for pi, zi, ei in zip(probs, z.values, eta):
-            term = perspective(ei, zi, t.h.conjugate_value)
-            if term == INF:
-                return INF
-            total += pi * term
-        tail = fstar(orlicz_norm(RandomVariable(z.space, eta), t.g))
-        if tail == INF:
-            return INF
-        return total + tail
-
-    eta = np.where(support, z.values, 0.0)
-    best = objective(eta)
-    iters = max(50, int(eta_grid))
-    floor = 1e-12
-    scale = max(1.0, float(z.values.max()))
-    for k in range(iters):
-        step = 0.5 * scale / math.sqrt(1.0 + k)
-        grad = np.zeros_like(eta)
-        f0 = objective(eta)
-        if f0 == INF:
-            break
-        h = 1e-6 * scale
-        for i in range(eta.size):
-            bump = eta.copy()
-            bump[i] += h
-            fp = objective(bump)
-            if fp == INF:
-                grad[i] = 1.0
-                continue
-            grad[i] = (fp - f0) / h
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm < 1e-14:
-            break
-        eta = eta - step * grad / gnorm
-        eta = np.clip(eta, 0.0, None)
-        eta[support] = np.maximum(eta[support], floor)
-        cur = objective(eta)
-        if cur < best:
-            best = cur
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ class CoercivityError(ScenRiskError):
 
 
 class UnresolvedConjugateError(ScenRiskError):
-    """No exact conjugate is known: a custom functional, or a transformed
-    triple whose H is not the positive part."""
+    """No exact conjugate is known: a custom functional, a transformed triple
+    whose H is neither x^+ nor exp, or H = exp with an F or G that has no
+    closed form."""
 
 
 class InvalidOrliczError(ScenRiskError):

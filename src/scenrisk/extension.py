@@ -21,6 +21,7 @@ from .prob_core import (
     FiniteProbSpace,
     Partition,
     RandomVariable,
+    _separating_depth,
     cond_exp,
     dyadic_chain,
 )
@@ -56,14 +57,6 @@ def random_partition(space: FiniteProbSpace, rng: np.random.Generator,
             return Partition.from_labels(space, labels)
 
 
-def _separating_depth(space: FiniteProbSpace, x: RandomVariable) -> int:
-    """Depth at which the dyadic chain surely separates all distinct values."""
-    _, inverse = np.unique(x.values, return_inverse=True)
-    class_prob = np.bincount(inverse, weights=space.probs)
-    gap = float(class_prob.min())
-    return max(1, int(math.ceil(math.log2(1.0 / gap))) + 1)
-
-
 def extend_sup(rho: Callable, x: RandomVariable, budget: int, seed: int) -> ExtensionResult:
     """sup over sampled partitions of rho(E[X|pi]): the dyadic chain of x,
     ``budget`` seeded random partitions, and the finest partition.
@@ -74,10 +67,13 @@ def extend_sup(rho: Callable, x: RandomVariable, budget: int, seed: int) -> Exte
     """
     if budget < 1:
         raise ParameterError("budget must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     space = x.space
     rng = np.random.default_rng(seed)
     candidates: List[Tuple[str, Partition]] = [("trivial", Partition.trivial(space))]
-    depth = _separating_depth(space, x)
+    depth = _separating_depth(np.bincount(np.unique(x.values, return_inverse=True)[1],
+                                          weights=space.probs))
     for j, p in enumerate(dyadic_chain(space, x, depth), start=1):
         candidates.append((f"dyadic:{j}", p))
     for b in range(budget):

@@ -173,6 +173,8 @@ class BatteryConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def rho_pool(self) -> List[RiskFunctional]:
         pool: List[RiskFunctional] = []

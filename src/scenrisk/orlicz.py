@@ -5,9 +5,7 @@ nondecreasing, vanishes at 0 and grows to infinity.  It generates the
 Luxemburg norm  inf{lam > 0 : E[G(|X|/lam)] <= 1}  and the Orlicz norm
 sup{E[XY] : ||Y||_G <= 1}, computed here through the Amemiya form.
 
-Extended values are plain IEEE ``math.inf``; the only delicate spot is the
-perspective expression eta * Hconj(z / eta), whose eta = 0 closure is pinned
-in :func:`perspective`.
+Extended values are plain IEEE ``math.inf``.
 
 The same class doubles as the outer transform F of a risk triple, which obeys
 relaxed axioms (F(0) need not be 0 and F may jump to infinity anywhere), so
@@ -241,14 +239,12 @@ def custom(
 @dataclass(frozen=True)
 class HFunction:
     """Convex increasing function on the whole real line, [0, inf)-valued,
-    growing to infinity.  Its conjugate is taken over all of R and is used in
-    the eta-form dual with the perspective closure."""
+    growing to infinity.  The duality layer dispatches on ``name``."""
 
     name: str
     params: tuple
     _evaluate: Callable = field(repr=False)
     _evaluate_array: Optional[Callable] = field(repr=False, default=None)
-    _conjugate: Optional[Callable] = field(repr=False, default=None)
     slope_at_infinity: Optional[float] = None
 
     def __call__(self, v: float) -> float:
@@ -259,41 +255,25 @@ class HFunction:
             return np.asarray(self._evaluate_array(arr), dtype=float)
         return np.array([self._evaluate(float(v)) for v in np.asarray(arr)], dtype=float)
 
-    def conjugate_value(self, y: float) -> float:
-        """H*(y) = sup_{x in R} {xy - H(x)}, extended-real."""
-        if self._conjugate is None:
-            raise InvalidOrliczError(f"{self.name}: no conjugate supplied")
-        return float(self._conjugate(y))
-
 
 def positive_part() -> HFunction:
-    """H(x) = max(x, 0); conjugate is the 0/inf indicator of [0, 1]."""
+    """H(x) = max(x, 0)."""
     return HFunction(
         name="positive_part",
         params=(),
         _evaluate=lambda v: v if v > 0 else 0.0,
         _evaluate_array=lambda a: np.maximum(np.asarray(a, dtype=float), 0.0),
-        _conjugate=lambda y: 0.0 if 0.0 <= y <= 1.0 else INF,
         slope_at_infinity=1.0,
     )
 
 
 def exponential() -> HFunction:
-    """H(x) = exp(x); conjugate y*log(y) - y for y > 0, 0 at y = 0, inf below."""
-
-    def conj(y):
-        if y < 0:
-            return INF
-        if y == 0:
-            return 0.0
-        return y * math.log(y) - y
-
+    """H(x) = exp(x)."""
     return HFunction(
         name="exponential",
         params=(),
         _evaluate=lambda v: math.exp(v) if v < _EXP_SATURATION else INF,
         _evaluate_array=_exp_saturating,
-        _conjugate=conj,
         slope_at_infinity=INF,
     )
 
@@ -301,7 +281,6 @@ def exponential() -> HFunction:
 def custom_h(
     fn: Callable,
     array_fn: Optional[Callable] = None,
-    conjugate_fn: Optional[Callable] = None,
     slope_at_infinity: Optional[float] = None,
     name: str = "custom_h",
 ) -> HFunction:
@@ -310,17 +289,8 @@ def custom_h(
         params=(),
         _evaluate=fn,
         _evaluate_array=array_fn,
-        _conjugate=conjugate_fn,
         slope_at_infinity=slope_at_infinity,
     )
-
-
-def perspective(eta: float, value: float, h_conj: Callable) -> float:
-    """eta * Hconj(value / eta) with the convex closure at eta = 0:
-    0 when value = 0, inf when value > 0."""
-    if eta == 0.0:
-        return 0.0 if value == 0.0 else INF
-    return eta * float(h_conj(value / eta))
 
 
 # ---------------------------------------------------------------------------

@@ -276,18 +276,30 @@ def dyadic_chain(space: FiniteProbSpace, x: RandomVariable, depth: int):
     quantile bins (atoms sharing a value are never separated).  Dyadic cuts
     nest, so the chain is increasing in refinement, and conditioning along it
     converges to ``x`` in L1 -- exactly once bins separate all distinct values.
+    Levels from the separating depth on are the value-class partition; a book
+    needing more than 62 levels (the int64 bin labels) raises ParameterError.
     """
     _require_same_space(space, x.space, "dyadic_chain")
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     _, inverse = np.unique(x.values, return_inverse=True)
     class_prob = np.bincount(inverse, weights=space.probs)
+    separating = _separating_depth(class_prob)
+    exact = min(depth, separating)
+    if exact > 62:
+        raise ParameterError(f"separating the values needs {separating} > 62 dyadic levels")
     left_cum = np.concatenate([[0.0], np.cumsum(class_prob)[:-1]])
     chain = []
-    for j in range(1, depth + 1):
-        bins = np.floor(left_cum * (2.0 ** j)).astype(int)
+    for j in range(1, exact + 1):
+        bins = np.floor(left_cum * (2.0 ** j)).astype(np.int64)
         chain.append(Partition.from_labels(space, bins[inverse]))
-    return chain
+    return chain + [chain[-1]] * (depth - exact)
+
+
+def _separating_depth(class_prob: np.ndarray) -> int:
+    """Dyadic level that surely separates value classes of these probabilities:
+    2**-depth is at most half the lightest class."""
+    return max(1, int(math.ceil(math.log2(1.0 / float(class_prob.min())))) + 1)
 
 
 def quantile_var(x: RandomVariable, t: float) -> float:

@@ -25,6 +25,7 @@ from scenrisk import (
     discretization_slack,
     dual_higher_order,
     exp_minus_one,
+    exponential,
     extend_sup,
     f_transformed,
     fgh1_check,
@@ -274,25 +275,31 @@ def test_criterion_9_conjugate_dilatation():
 
 
 def test_conjugate_dilatation_for_penalized_families():
-    # beyond criterion 9's AVaR boxes: the T_{c,p} ball and the finite
-    # penalty F*(||Z||_2) of the (exp(x) - 1, x^2, x^+) triple
+    # beyond criterion 9's AVaR boxes: the T_{c,p} ball, the finite penalty
+    # F*(||Z||_2) of the (exp(x) - 1, x^2, x^+) triple and the entropy penalty
+    # of the (2x, x^2, exp) triple
     rng = np.random.default_rng(919)
     rhos = (RiskFunctional.higher_order(2.0, 2.0),
             RiskFunctional.transformed(
-                OrliczTriple.checked(exp_minus_one(), power(2), positive_part())))
-    finite = 0
+                OrliczTriple.checked(exp_minus_one(), power(2), positive_part())),
+            RiskFunctional.transformed(
+                OrliczTriple.checked(linear(2.0), power(2), exponential())))
+    finite = densities = finite_entropy = 0
     for _ in range(100):
         space = _random_space(rng, 12)
         if rng.random() < 0.8:
             z = rng.uniform(0.0, 1.0, size=space.atom_count) ** float(rng.uniform(0.5, 4.0))
             y = RandomVariable(space, -z / float(space.probs @ z))
+            densities += 1
         else:
             y = RandomVariable(space, rng.normal(size=space.atom_count))
         part = random_partition(space, rng)
         for rho in rhos:
             assert conjugate_dilatation_check(rho, y, part)
         finite += math.isfinite(conjugate_sharp(rhos[1], y))
+        finite_entropy += math.isfinite(conjugate_sharp(rhos[2], y))
     assert finite >= 60
+    assert finite_entropy == densities >= 60  # the entropy penalty is finite on every density
 
 
 def test_criterion_10_fgh_checkers():

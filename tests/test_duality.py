@@ -14,6 +14,7 @@ from scenrisk import (
     Partition,
     RandomVariable,
     RiskFunctional,
+    ScenRiskError,
     UnresolvedConjugateError,
     avar,
     cap_at,
@@ -83,10 +84,15 @@ def test_conjugate_box_violation_is_infinite(uniform4):
 def test_conjugate_refuses_what_has_no_closed_form(uniform4):
     y = RandomVariable.constant(uniform4, -1.0)
     custom_rho = RiskFunctional.custom(lambda x: -x.mean())
-    exp_h = RiskFunctional.transformed(OrliczTriple(f=linear(2.0), g=power(2), h=exponential()))
-    for rho in (custom_rho, exp_h):
+    exp_g = RiskFunctional.transformed(
+        OrliczTriple(f=linear(2.0), g=exp_minus_one(), h=exponential()))
+    for rho in (custom_rho, exp_g):
         with pytest.raises(UnresolvedConjugateError):
             conjugate_sharp(rho, y)
+    # cap_at(0) as F or G makes T identically +inf under H = exp
+    for f, g in ((cap_at(0.0), power(2)), (linear(2.0), cap_at(0.0))):
+        with pytest.raises(ScenRiskError, match="cap_at"):
+            conjugate_sharp(RiskFunctional.transformed(OrliczTriple(f=f, g=g, h=exponential())), y)
     # a triple whose (FGH2) fails is refused as transformed_T refuses it
     flat = RiskFunctional.transformed(OrliczTriple(f=linear(1.0), g=power(2), h=positive_part()))
     with pytest.raises(CoercivityError):
@@ -113,33 +119,58 @@ def _density_values(data, space):
     return raw / float(space.probs @ raw)
 
 
-@given(st.data(), st.sampled_from(["exp", "cap"]))
-@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["exp", "cap", "exp_h"]))
+@settings(max_examples=90, deadline=None)
 def test_transformed_conjugate_fenchel_and_attainment(data, outer):
     # T#(-Z) = F*(||Z||_2) for (F, x^2, x^+); the sup over X is attained at
-    # X = -r* Z / ||Z||_2 with r* the maximizer of r ||Z||_2 - F(r)
+    # X = -r* Z / ||Z||_2 with r* the maximizer of r ||Z||_2 - F(r).  With
+    # H = exp it is attained at X = -log W*, W* = Z^(1/p) for G = x^p,
+    # W* = Z for G = a x and W* = theta for G = cap_at(theta); every built-in
+    # (F, G) pair is checked on each drawn density
     space = data.draw(spaces(min_atoms=1, max_atoms=7))
     z = _density_values(data, space)
     norm = _q_norm(z, space.probs, 2.0)
-    if outer == "exp":
-        f, r_star = exp_minus_one(), math.log(norm)
+    if outer == "exp_h":
+        z = 0.9 * z + 0.1  # positive, so log W* is finite
+        w_stars = ((power(2), np.sqrt(z)), (power(3), np.cbrt(z)), (linear(1.5), z),
+                   (cap_at(2.0), np.full(z.size, 2.0)))
+        cases = [(OrliczTriple.checked(f, g, exponential()), -np.log(w_star))
+                 for f in (linear(2.0), exp_minus_one(), cap_at(0.5), power(2))
+                 for g, w_star in w_stars]
     else:
-        theta = data.draw(st.sampled_from([0.5, 2.0]))
-        f, r_star = cap_at(theta), theta
-    t = OrliczTriple.checked(f, power(2), positive_part())
-    rho = RiskFunctional.transformed(t)
-    conj = conjugate_sharp(rho, RandomVariable(space, -z))
-    assert math.isfinite(conj)
-
-    def lower(x):  # E[-XZ] - T#(-Z), at most T(X) by Fenchel's inequality
-        return float(space.probs @ (-x.values * z)) - conj
-
-    x_star = RandomVariable(space, -r_star * z / norm)
-    best = transformed_T(x_star, t)
-    assert abs(best - lower(x_star)) <= 1e-9 * max(1.0, abs(best))
+        if outer == "exp":
+            f, r_star = exp_minus_one(), math.log(norm)
+        else:
+            theta = data.draw(st.sampled_from([0.5, 2.0]))
+            f, r_star = cap_at(theta), theta
+        cases = [(OrliczTriple.checked(f, power(2), positive_part()), -r_star * z / norm)]
     x = data.draw(variables(space=space, lo=-5.0, hi=5.0))
-    value = transformed_T(x, t)
-    assert value >= lower(x) - 1e-9 * max(1.0, abs(value))
+    for t, x_star in cases:
+        conj = conjugate_sharp(RiskFunctional.transformed(t), RandomVariable(space, -z))
+        assert math.isfinite(conj)
+
+        def lower(v):  # E[-XZ] - T#(-Z), at most T(X) by Fenchel's inequality
+            return float(space.probs @ (-v * z)) - conj
+
+        best = transformed_T(RandomVariable(space, x_star), t)
+        assert abs(best - lower(x_star)) <= 1e-9 * max(1.0, abs(best))
+        value = transformed_T(x, t)
+        assert value >= lower(x.values) - 1e-9 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("g, atoms, z, expected", [
+    # W* = sqrt(Z) attains the hull at X = -log W*
+    (power(2), 2, [1.8, 0.2], -1.509115076975697),
+    # one atom: T(X) = -X + 1 + log 2.6, so the penalty is -1 - log 2.6
+    (linear(1.3), 1, [1.0], -1.0 - math.log(2.6)),
+])
+def test_exponential_h_conjugate_is_exact(g, atoms, z, expected):
+    # regressions: the projected subgradient search returned -1.0 and -1.8722
+    t = OrliczTriple.checked(linear(2.0), g, exponential())
+    space = FiniteProbSpace.uniform(atoms)
+    y = RandomVariable(space, -np.array(z))
+    assert conjugate_sharp(RiskFunctional.transformed(t), y) == pytest.approx(expected, rel=1e-12)
+    assert t_sharp_eta(t, Density(space, np.array(z))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_transformed_conjugate_matches_the_box_and_ball_closed_forms():
@@ -411,25 +442,8 @@ def test_t_sharp_eta_generic_path_runs():
     t = OrliczTriple(f=f, g=power(2), h=positive_part())
     sp2 = FiniteProbSpace.uniform(2)
     z = Density(sp2, np.array([1.2, 0.8]))
-    val = t_sharp_eta(t, z, eta_grid=120)
+    val = t_sharp_eta(t, z)
     assert val == pytest.approx(_q_norm(z.values, sp2.probs, 2.0) ** 2 / 4.0, rel=1e-12)
-
-
-def test_t_sharp_eta_exponential_h_sandwich():
-    # the search for H = exp returns an evaluated eta-form objective, so it
-    # never falls below E[-XZ] - T(X) (Fenchel's inequality)
-    rng = np.random.default_rng(606)
-    t = OrliczTriple.checked(linear(2.0), power(2), exponential())
-    worst = INF
-    for _ in range(20):
-        space = FiniteProbSpace.from_weights(rng.uniform(0.2, 1.0, size=int(rng.integers(1, 5))))
-        z = random_density(space, rng)
-        upper = t_sharp_eta(t, z, eta_grid=50)
-        for _ in range(10):
-            x = RandomVariable(space, rng.normal(scale=2.0, size=space.atom_count))
-            worst = min(worst, upper - (float(space.probs @ (-x.values * z.values))
-                                        - transformed_T(x, t)))
-    assert worst >= 0.0
 
 
 # ---------------------------------------------------------------------------

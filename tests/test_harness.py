@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from scenrisk import (
     BatteryConfig,
+    RiskFunctional,
     RunReport,
     ScenRiskError,
+    dual_higher_order,
     emit_report,
+    fenchel_gap,
     ingest_csv,
     run_battery,
 )
@@ -401,6 +404,41 @@ def test_cli_dual(capsys):
     assert gap <= 1e-6
 
 
+def test_cli_dual_bisects_the_bracket_twice(monkeypatch, capsys):
+    # the primal and the dual solve the bracket; the Fenchel gap reuses the
+    # primal and the pairing E[x(-z)], which is the dual value
+    import scenrisk.duality as duality_mod
+    import scenrisk.risk_core as risk_mod
+    calls = []
+    inner = risk_mod._higher_order_bracket
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(risk_mod, "_higher_order_bracket", counted)
+    monkeypatch.setattr(duality_mod, "_higher_order_bracket", counted)
+    assert main(["dual", str(DATA / "uniform4.csv"), "--c", "1.5", "--p", "2"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 2
+    x = ingest_csv(str(DATA / "uniform4.csv")).variable()
+    _, z = dual_higher_order(x, 1.5, 2.0)
+    gap = fenchel_gap(RiskFunctional.higher_order(1.5, 2.0), x, -z.as_variable())
+    assert f"fenchel_gap: {gap:.3g}\n" in out
+
+
+def test_cli_extend_past_depth_62(capsys):
+    # levels from 64 on overflowed the bin labels: the curve fell and the L1 gap rose
+    rc = main(["extend", str(DATA / "uniform4.csv"), "--depth", "2000", "--format", "curves"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    rows = out[out.index("level,value,l1_gap\n"):].splitlines()[1:]
+    assert len(rows) == 2000
+    values = [float(r.split(",")[1]) for r in rows]
+    assert all(nxt >= cur for nxt, cur in zip(values[1:], values))
+    assert float(rows[-1].split(",")[2]) == 0.0
+
+
 def test_cli_kusuoka(capsys):
     rc = main(["kusuoka", str(DATA / "uniform4.csv"), "--c", "2", "--p", "2"])
     out = capsys.readouterr().out
@@ -426,6 +464,9 @@ def test_cli_kusuoka(capsys):
     (["lemma21", "--n-max", "1"], None),
     (["battery", "--trials", "0"], None),
     (["battery", "--trials", "-3"], None),
+    (["extend", "--seed", "-1"], None),
+    (["battery", "--seed", "-1"], None),
+    (["extend"], "-1"),
 ])
 def test_cli_bad_request_exits_2_with_one_error_line(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:

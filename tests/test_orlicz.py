@@ -15,13 +15,10 @@ from scenrisk import (
     conjugate_value_numeric,
     custom,
     exp_minus_one,
-    exponential,
     g_inv_one,
     linear,
     luxemburg_norm,
     orlicz_norm,
-    perspective,
-    positive_part,
     power,
     validate_orlicz,
 )
@@ -116,14 +113,6 @@ def test_conjugate_power_two_closed_form():
     gstar = conjugate(power(2))
     for y in (0.0, 0.5, 1.0, 3.0, 10.0):
         assert gstar(y) == pytest.approx(y * y / 4.0, rel=1e-12)
-
-
-def test_conjugate_of_positive_part_is_unit_indicator():
-    h = positive_part()
-    assert h.conjugate_value(0.0) == 0.0
-    assert h.conjugate_value(1.0) == 0.0
-    assert h.conjugate_value(1.0 + 1e-9) == INF
-    assert h.conjugate_value(-0.1) == INF
 
 
 def test_conjugate_linear_is_indicator():
@@ -320,7 +309,7 @@ def test_hoelder_pairing(data):
 
 
 # ---------------------------------------------------------------------------
-# shape validation, H functions, perspective
+# shape validation
 # ---------------------------------------------------------------------------
 
 def test_validate_accepts_builtins():
@@ -335,18 +324,3 @@ def test_validate_rejects_bad_shapes():
         validate_orlicz(custom(lambda t: math.sqrt(t)))  # concave, bounded slope
     with pytest.raises(InvalidOrliczError):
         validate_orlicz(custom(lambda t: 0.0))  # never reaches infinity
-
-
-def test_exponential_h_conjugate():
-    h = exponential()
-    assert h.conjugate_value(0.0) == 0.0
-    assert h.conjugate_value(1.0) == pytest.approx(-1.0)  # y log y - y at y=1
-    assert h.conjugate_value(-0.5) == INF
-
-
-def test_perspective_conventions():
-    hstar = positive_part().conjugate_value
-    assert perspective(0.0, 0.0, hstar) == 0.0
-    assert perspective(0.0, 1.0, hstar) == INF
-    assert perspective(2.0, 1.0, hstar) == 0.0  # 2 * Hstar(0.5)
-    assert perspective(0.5, 1.0, hstar) == INF  # Hstar(2) = inf

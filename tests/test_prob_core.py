@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from scenrisk import (
     FiniteProbSpace,
+    ParameterError,
     Partition,
     RandomVariable,
     SpaceMismatchError,
@@ -263,6 +264,28 @@ def test_dyadic_chain_is_refining_and_gap_monotone():
     for g_next, g in zip(gaps[1:], gaps):
         assert g_next <= g + 1e-12
     assert gaps[-1] <= 1e-12  # depth 8 separates 64 distinct values
+
+
+def test_dyadic_chain_past_depth_62_stays_refining():
+    # bins from level 64 on overflowed int64 and broke the nesting;
+    # from the separating depth on every level is the value-class partition
+    rng = np.random.default_rng(70)
+    space = FiniteProbSpace.from_weights(rng.uniform(0.2, 1.0, size=16))
+    x = RandomVariable(space, rng.normal(size=16).round(1))
+    chain = dyadic_chain(space, x, 70)
+    assert len(chain) == 70
+    for fine, coarse in zip(chain[1:], chain[:-1]):
+        assert fine.is_refinement_of(coarse)
+    _, classes = np.unique(x.values, return_inverse=True)
+    assert chain[-1] == Partition.from_labels(space, classes)
+
+
+def test_dyadic_chain_refuses_books_needing_more_than_62_levels():
+    space = FiniteProbSpace(np.array([1e-20, 1.0]))  # separates at level 68
+    x = RandomVariable(space, np.array([0.0, 1.0]))
+    assert len(dyadic_chain(space, x, 62)) == 62
+    with pytest.raises(ParameterError, match="62"):
+        dyadic_chain(space, x, 63)
 
 
 # ---------------------------------------------------------------------------

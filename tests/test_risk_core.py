@@ -418,7 +418,6 @@ def test_fgh1_tristates():
     shifted_exp = custom_h(
         lambda v: math.exp(v) + 1.0 if v < 700 else INF,
         array_fn=lambda a: np.where(np.asarray(a) < 700, np.exp(np.minimum(a, 700)) + 1.0, INF),
-        conjugate_fn=None,
         name="exp_plus_one",
     )
     t_stuck = OrliczTriple(f=cap_at(0.0), g=power(2), h=shifted_exp)
