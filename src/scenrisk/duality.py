@@ -50,13 +50,13 @@ class Density:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.space.atom_count,):
-            raise ValueError("one value per atom required")
+            raise ParameterError("one value per atom required")
         if np.any(v < -1e-12):
-            raise ValueError("density values must be nonnegative")
+            raise ParameterError("density values must be nonnegative")
         v = np.clip(v, 0.0, None)
         mean = float(self.space.probs @ v)
         if abs(mean - 1.0) > 1e-10:
-            raise ValueError(f"density mean {mean!r} is not 1 within 1e-10")
+            raise ParameterError(f"density mean {mean!r} is not 1 within 1e-10")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -75,15 +75,15 @@ class MixingMeasure:
         lv = np.asarray(self.levels, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if lv.ndim != 1 or lv.shape != w.shape or lv.size == 0:
-            raise ValueError("levels and weights must be matching 1-d vectors")
+            raise ParameterError("levels and weights must be matching 1-d vectors")
         if np.any(lv <= 0.0) or np.any(lv > 1.0) or np.any(np.diff(lv) <= 0.0):
-            raise ValueError("levels must be strictly increasing inside (0, 1]")
+            raise ParameterError("levels must be strictly increasing inside (0, 1]")
         if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
+            raise ParameterError("weights must be nonnegative")
         w = np.clip(w, 0.0, None)
         total = float(w.sum())
         if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {total!r}, not 1 within 1e-10")
+            raise ParameterError(f"weights sum to {total!r}, not 1 within 1e-10")
         lv = lv.copy()
         w = w / total
         lv.flags.writeable = False
@@ -295,7 +295,7 @@ def kusuoka_constraint(mu: MixingMeasure, q: float) -> float:
     piecewise constant between levels, so the integral of sigma**q over (0,1]
     is a finite sum -- no quadrature error."""
     if q <= 1.0:
-        raise ValueError("q must exceed 1")
+        raise ParameterError("q must exceed 1")
     lv, w = mu.levels, mu.weights
     sigma = np.cumsum((w / lv)[::-1])[::-1]
     edges = np.concatenate([[0.0], lv])

@@ -187,7 +187,7 @@ class BatteryConfig:
             elif fam == "transformed":
                 # same family expressed through an explicit triple
                 pool.append(RiskFunctional.transformed(
-                    OrliczTriple.checked(linear(2.0), power(2.0), positive_part())))
+                    OrliczTriple(linear(2.0), power(2.0), positive_part())))
             else:
                 raise ParameterError(f"unknown family {fam!r}")
         return pool

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidOrliczError, ParameterError
-from .prob_core import RandomVariable
+from .prob_core import FiniteProbSpace, RandomVariable
 from .scalarmin import golden_section
 
 INF = math.inf
@@ -49,7 +49,7 @@ class OrliczFunction:
 
     def __call__(self, t: float) -> float:
         if t < 0:
-            raise ValueError("Orlicz-type functions are defined on [0, inf)")
+            raise ParameterError("Orlicz-type functions are defined on [0, inf)")
         return float(self._evaluate(t))
 
     def eval_array(self, arr: np.ndarray) -> np.ndarray:
@@ -199,6 +199,16 @@ def exp_minus_one() -> OrliczFunction:
     )
 
 
+# names the public constructors give; the norms and the duality layer dispatch on them
+_BUILTIN_NAMES = frozenset({"power", "linear", "cap", "exp_minus_one", "positive_part",
+                            "exponential"})
+
+
+def _require_custom_name(name: str) -> None:
+    if name in _BUILTIN_NAMES:
+        raise ParameterError(f"{name!r} names a built-in kind; pick another name")
+
+
 def custom(
     fn: Callable,
     conjugate_fn: Optional[Callable] = None,
@@ -208,7 +218,9 @@ def custom(
     name: str = "custom",
 ) -> OrliczFunction:
     """Wrap a user-supplied evaluator.  The conjugate evaluator is required
-    for anything feeding the duality layer."""
+    for anything feeding the duality layer.  The name of a built-in kind is
+    refused, since the norms and the duality layer dispatch on ``name``."""
+    _require_custom_name(name)
     factory = None
     if conjugate_fn is not None:
 
@@ -284,6 +296,8 @@ def custom_h(
     slope_at_infinity: Optional[float] = None,
     name: str = "custom_h",
 ) -> HFunction:
+    """Wrap a user-supplied H; the name of a built-in kind is refused."""
+    _require_custom_name(name)
     return HFunction(
         name=name,
         params=(),
@@ -346,40 +360,19 @@ def validate_orlicz(g: OrliczFunction) -> None:
 
 
 def g_inv_one(g: OrliczFunction) -> float:
-    """sup{t > 0 : G(t) <= 1}, bisected to 1e-12 relative width.
-
-    Coincides with 1 / luxemburg_norm(1, G).
-    """
-    hi = 1.0
-    for _ in range(BISECT_MAX_ITER):
-        if g(hi) > 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise InvalidOrliczError(f"{g.name}: G never exceeds 1; cannot invert")
-    lo = min(1.0, hi / 2.0)
-    for _ in range(BISECT_MAX_ITER):
-        if g(lo) <= 1.0:
-            break
-        lo /= 2.0
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """sup{t > 0 : G(t) <= 1}, which is 1 / luxemburg_norm(1, G)."""
+    return 1.0 / luxemburg_norm(RandomVariable(FiniteProbSpace.uniform(1), [1.0]), g)
 
 
 def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
     """inf{lam > 0 : E[G(|X|/lam)] <= 1}.
 
-    Closed forms for the power/linear/cap kinds; otherwise bisection on lam
-    (the map lam -> E[G(|x|/lam)] is nonincreasing), bracketed by doubling and
-    halving from ||x||_1 + 1, to 1e-12 relative width.  Always finite on a
-    finite space.
+    Closed forms for the power/linear/cap kinds.  Otherwise the norm, which is
+    positively homogeneous, is solved at ``|x| / max|x|`` and scaled back: the
+    map lam -> E[G(a/lam)] is nonincreasing, so lam is bracketed by doubling
+    and halving from E[a] + 1 and bisected to 1e-12 relative width.  A G that
+    stays at or below 1 within the halving budget generates no finite norm
+    and raises InvalidOrliczError.
     """
     a = np.abs(x.values)
     amax = float(a.max(initial=0.0))
@@ -396,6 +389,7 @@ def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
         if theta == 0.0:
             raise InvalidOrliczError("cap_at(0) generates no finite norm")
         return amax / theta
+    a = a / amax
 
     def mass(lam: float) -> float:
         vals = g.eval_array(a / lam)
@@ -412,10 +406,11 @@ def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
         raise InvalidOrliczError(f"{g.name}: no finite Luxemburg norm found")
     lo = hi
     for _ in range(BISECT_MAX_ITER):
-        if mass(lo / 2.0) > 1.0:
-            break
         lo /= 2.0
-    lo /= 2.0
+        if mass(lo) > 1.0:
+            break
+    else:
+        raise InvalidOrliczError(f"{g.name}: G does not exceed 1 within the halving budget")
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_REL_TOL * hi:
             break
@@ -424,7 +419,7 @@ def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
             hi = mid
         else:
             lo = mid
-    return hi
+    return amax * hi
 
 
 def orlicz_norm(x: RandomVariable, g: OrliczFunction) -> float:

@@ -41,14 +41,14 @@ class FiniteProbSpace:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
-            raise ValueError("probabilities must form a nonempty 1-d vector")
+            raise ParameterError("probabilities must form a nonempty 1-d vector")
         if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
+            raise ParameterError("probabilities must be finite")
         if np.any(p <= 0.0):
-            raise ValueError("every atom probability must be strictly positive")
+            raise ParameterError("every atom probability must be strictly positive")
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(
+            raise ParameterError(
                 f"probabilities sum to {total!r}; more than {PROB_SUM_TOL} away from 1"
             )
         object.__setattr__(self, "probs", _frozen(p / total))
@@ -56,7 +56,7 @@ class FiniteProbSpace:
     @classmethod
     def uniform(cls, n: int) -> "FiniteProbSpace":
         if n < 1:
-            raise ValueError("need at least one atom")
+            raise ParameterError("need at least one atom")
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
@@ -68,7 +68,7 @@ class FiniteProbSpace:
         """
         w = np.asarray(weights, dtype=float)
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and strictly positive")
+            raise ParameterError("weights must be finite and strictly positive")
         return cls(w / w.sum())
 
     @property
@@ -106,11 +106,11 @@ class RandomVariable:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.space.atom_count,):
-            raise ValueError(
+            raise ParameterError(
                 f"expected {self.space.atom_count} values, got shape {v.shape}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
+            raise ParameterError("values must be finite")
         object.__setattr__(self, "values", _frozen(v))
 
     @classmethod
@@ -185,7 +185,7 @@ class Partition:
     def __post_init__(self):
         lab = np.asarray(self.labels)
         if lab.shape != (self.space.atom_count,):
-            raise ValueError(f"one label per atom required, got shape {lab.shape}")
+            raise ParameterError(f"one label per atom required, got shape {lab.shape}")
         _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
         rank = np.empty(first.size, dtype=np.intp)
         rank[np.argsort(first)] = np.arange(first.size)

@@ -12,14 +12,16 @@ slow reference.  The slope condition (FGH2) makes the hull objective
 coercive so the infimum is attained; (FGH1) rules out an identically-infinite
 T.  Both are probed by checkers returning a tri-state, because a numeric
 probe can certify growth (convexity gives certified slope lower bounds) but
-refuting a limit statement needs analytic slope data.
+refuting a limit statement needs analytic slope data.  A triple computes its
+(FGH2) verdict once, on first use, and keeps it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,20 +47,17 @@ class OrliczTriple:
     ``f`` is convex increasing on [0, inf), extended-real, left-continuous,
     not identically infinite.  ``g`` is a real-valued Orlicz function.  ``h``
     is convex increasing on all of R with values in [0, inf), growing to
-    infinity.  The tri-state flags cache the FGH condition checks.
+    infinity.
     """
 
     f: OrliczFunction
     g: OrliczFunction
     h: HFunction
-    fgh1: TriState = TriState.UNKNOWN
-    fgh2: TriState = TriState.UNKNOWN
 
-    @classmethod
-    def checked(cls, f, g, h) -> "OrliczTriple":
-        """Build a triple with both condition flags populated."""
-        t = cls(f=f, g=g, h=h)
-        return replace(t, fgh1=fgh1_check(t), fgh2=fgh2_check(t))
+    @functools.cached_property
+    def fgh2(self) -> TriState:
+        """The (FGH2) verdict of :func:`fgh2_check`, computed on first use."""
+        return fgh2_check(self)
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,10 @@ def cash_hull(f_eval: Callable, x: RandomVariable, step: float = 1.0):
 
     Brackets by doubling outward from s0 = -E[x] (walking downhill; a flat
     asymptote counts as attained), golden-sections to argument width 1e-10,
-    then polishes against the kinks at the data values so piecewise-linear
-    objectives are resolved exactly.  Sixty fruitless doublings signal a
+    then snaps to the data values beside the golden minimizer (within the
+    final width plus 1e-6 of the data scale), the kinks of a piecewise-linear
+    objective.  A kink farther out cannot beat the golden value by more than
+    the golden tolerance, by convexity.  Sixty fruitless doublings signal a
     non-coercive objective (FGH2 violated or a custom f without growth).
     """
 
@@ -201,23 +202,20 @@ def cash_hull(f_eval: Callable, x: RandomVariable, step: float = 1.0):
         lo, hi = bracket_minimum(psi, start, step=step, window=1e6 * scale)
     except BracketError as exc:
         raise CoercivityError(str(exc)) from exc
-    s_best, f_best, _ = golden_section(psi, lo, hi, tol=1e-10)
-    margin = 1e-6 * scale
-    for v in np.unique(x.values):
-        if lo - margin <= v <= hi + margin:
-            fv = psi(float(v))
-            if fv < f_best:
-                s_best, f_best = float(v), fv
+    s_best, f_best, width = golden_section(psi, lo, hi, tol=1e-10)
+    near = x.values[np.abs(x.values - s_best) <= width + 1e-6 * scale]
+    for v in np.unique(near):
+        fv = psi(float(v))
+        if fv < f_best:
+            s_best, f_best = float(v), fv
     return f_best, s_best
 
 
 def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
     """T(X) = inf_s {F(||H(s - X)||_G) - s}, the cash-additive hull of
-    ``f_transformed``; refuses to run when (FGH2) is known to fail.
-
-    An UNKNOWN flag is resolved by running the checker; if it stays unknown
-    the hull is attempted anyway and a missing bracket surfaces as
-    CoercivityError.
+    ``f_transformed``; refuses to run when the triple's (FGH2) verdict is
+    FAILS.  An UNKNOWN verdict lets the hull run, and a missing bracket
+    surfaces as CoercivityError.
     """
     _require_fgh2(t)
     value, _ = cash_hull(lambda y: f_transformed(y, t), x)
@@ -225,10 +223,8 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
 
 
 def _require_fgh2(t: OrliczTriple) -> None:
-    """Raise CoercivityError when (FGH2) is known to fail, resolving an
-    UNKNOWN flag by running the checker."""
-    flag = t.fgh2 if t.fgh2 is not TriState.UNKNOWN else fgh2_check(t)
-    if flag is TriState.FAILS:
+    """Raise CoercivityError when the triple's (FGH2) verdict is FAILS."""
+    if t.fgh2 is TriState.FAILS:
         raise CoercivityError("FGH2 fails: hull objective is not coercive")
 
 

@@ -77,8 +77,7 @@ def test_criterion_1_dilatation_monotonicity():
             RiskFunctional.avar(alpha),
             RiskFunctional.higher_order(c, p),
             RiskFunctional.transformed(
-                OrliczTriple(f=linear(c), g=power(p), h=positive_part(),
-                             fgh2=TriState.HOLDS)
+                OrliczTriple(f=linear(c), g=power(p), h=positive_part())
             ),
         )
         for rho in families:
@@ -151,8 +150,7 @@ def test_criterion_4_hull_attainment():
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         if p == 1.0 and c < 1.0:
             c = 1.5
-        t = OrliczTriple(f=linear(c), g=power(p), h=positive_part(),
-                         fgh2=TriState.HOLDS)
+        t = OrliczTriple(f=linear(c), g=power(p), h=positive_part())
         value, s_star = cash_hull(lambda y: f_transformed(y, t), x)
         s = np.linspace(s_star - 5.0, s_star + 5.0, 10001)
         short = np.clip(s[:, None] - x.values[None, :], 0.0, None)
@@ -281,9 +279,9 @@ def test_conjugate_dilatation_for_penalized_families():
     rng = np.random.default_rng(919)
     rhos = (RiskFunctional.higher_order(2.0, 2.0),
             RiskFunctional.transformed(
-                OrliczTriple.checked(exp_minus_one(), power(2), positive_part())),
+                OrliczTriple(exp_minus_one(), power(2), positive_part())),
             RiskFunctional.transformed(
-                OrliczTriple.checked(linear(2.0), power(2), exponential())))
+                OrliczTriple(linear(2.0), power(2), exponential())))
     finite = densities = finite_entropy = 0
     for _ in range(100):
         space = _random_space(rng, 12)

@@ -134,7 +134,7 @@ def test_transformed_conjugate_fenchel_and_attainment(data, outer):
         z = 0.9 * z + 0.1  # positive, so log W* is finite
         w_stars = ((power(2), np.sqrt(z)), (power(3), np.cbrt(z)), (linear(1.5), z),
                    (cap_at(2.0), np.full(z.size, 2.0)))
-        cases = [(OrliczTriple.checked(f, g, exponential()), -np.log(w_star))
+        cases = [(OrliczTriple(f, g, exponential()), -np.log(w_star))
                  for f in (linear(2.0), exp_minus_one(), cap_at(0.5), power(2))
                  for g, w_star in w_stars]
     else:
@@ -143,7 +143,7 @@ def test_transformed_conjugate_fenchel_and_attainment(data, outer):
         else:
             theta = data.draw(st.sampled_from([0.5, 2.0]))
             f, r_star = cap_at(theta), theta
-        cases = [(OrliczTriple.checked(f, power(2), positive_part()), -r_star * z / norm)]
+        cases = [(OrliczTriple(f, power(2), positive_part()), -r_star * z / norm)]
     x = data.draw(variables(space=space, lo=-5.0, hi=5.0))
     for t, x_star in cases:
         conj = conjugate_sharp(RiskFunctional.transformed(t), RandomVariable(space, -z))
@@ -166,7 +166,7 @@ def test_transformed_conjugate_fenchel_and_attainment(data, outer):
 ])
 def test_exponential_h_conjugate_is_exact(g, atoms, z, expected):
     # regressions: the projected subgradient search returned -1.0 and -1.8722
-    t = OrliczTriple.checked(linear(2.0), g, exponential())
+    t = OrliczTriple(linear(2.0), g, exponential())
     space = FiniteProbSpace.uniform(atoms)
     y = RandomVariable(space, -np.array(z))
     assert conjugate_sharp(RiskFunctional.transformed(t), y) == pytest.approx(expected, rel=1e-12)

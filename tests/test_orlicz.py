@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 from scenrisk import (
     FiniteProbSpace,
     InvalidOrliczError,
+    OrliczTriple,
+    ParameterError,
     RandomVariable,
     cap_at,
     cond_exp,
     conjugate,
     conjugate_value_numeric,
     custom,
+    custom_h,
     exp_minus_one,
+    fgh2_check,
     g_inv_one,
     linear,
     luxemburg_norm,
     orlicz_norm,
+    positive_part,
     power,
+    transformed_T,
     validate_orlicz,
 )
 
@@ -157,11 +163,19 @@ def test_custom_without_conjugate_refuses():
 # ---------------------------------------------------------------------------
 
 def test_g_inv_one_values():
-    assert g_inv_one(power(2)) == pytest.approx(1.0, abs=1e-11)
+    assert g_inv_one(power(2)) == 1.0
     assert g_inv_one(power(3.5)) == pytest.approx(1.0, abs=1e-11)
     assert g_inv_one(exp_minus_one()) == pytest.approx(math.log(2.0), abs=1e-11)
-    assert g_inv_one(cap_at(1.0)) == pytest.approx(1.0, abs=1e-11)
-    assert g_inv_one(linear(4.0)) == pytest.approx(0.25, abs=1e-11)
+    assert g_inv_one(cap_at(1.0)) == 1.0
+    assert g_inv_one(linear(4.0)) == 0.25
+
+
+def test_g_inv_one_refuses_cap_at_zero():
+    # sup{t > 0 : G(t) <= 1} is +inf; a made-up tiny value used to come back
+    with pytest.raises(InvalidOrliczError):
+        g_inv_one(cap_at(0.0))
+    with pytest.raises(InvalidOrliczError):
+        fgh2_check(OrliczTriple(f=linear(2.0), g=cap_at(0.0), h=positive_part()))
 
 
 def test_g_inv_one_vs_norm_of_one():
@@ -208,6 +222,42 @@ def test_luxemburg_power_scales_before_the_power():
             unscaled = float((space.probs @ np.abs(v) ** p) ** (1.0 / p))
         if math.isfinite(unscaled) and unscaled > 0.0:
             assert luxemburg_norm(RandomVariable(space, v), power(p)) == pytest.approx(unscaled, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [exp_minus_one(), generic_power(3)], ids=["exp", "custom_power"])
+def test_luxemburg_generic_path_is_homogeneous(g):
+    # the bisection runs at |x| / max|x|, so there is no absolute floor
+    base = np.array([1.0, -2.0, 0.5])
+    space = FiniteProbSpace.uniform(3)
+    unit = luxemburg_norm(RandomVariable(space, base), g)
+    for scale in 10.0 ** np.arange(-300, 151, 10):
+        got = luxemburg_norm(RandomVariable(space, base * scale), g)
+        assert got == pytest.approx(scale * unit, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("g", [
+    custom(lambda t: min(t, 1.0), array_fn=lambda a: np.minimum(a, 1.0), name="capped_line"),
+    custom(lambda t: 0.0, array_fn=lambda a: np.zeros_like(a), name="zero_fn"),
+], ids=["min_t_1", "zero"])
+def test_luxemburg_refuses_g_that_never_exceeds_one(g):
+    x = RandomVariable(FiniteProbSpace.uniform(3), np.array([1.0, -2.0, 0.5]))
+    with pytest.raises(InvalidOrliczError):
+        luxemburg_norm(x, g)
+    with pytest.raises(InvalidOrliczError):
+        g_inv_one(g)
+
+
+def test_custom_cannot_take_a_builtin_name():
+    # the norms dispatch on the name: a custom "power" reached `p, coef = g.params`,
+    # and a custom "linear" G made transformed_T index an empty params tuple
+    x = RandomVariable(FiniteProbSpace.uniform(3), np.array([1.0, -2.0, 0.5]))
+    with pytest.raises(ParameterError):
+        luxemburg_norm(x, custom(lambda t: t * t, name="power"))
+    with pytest.raises(ParameterError):
+        g = custom(lambda t: 3.0 * t, array_fn=lambda a: 3.0 * a, name="linear")
+        transformed_T(x, OrliczTriple(f=linear(4.0), g=g, h=positive_part()))
+    with pytest.raises(ParameterError):
+        custom_h(lambda v: max(v, 0.0), name="positive_part")
 
 
 @given(variables(lo=-10, hi=10, max_atoms=6))

@@ -4,16 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenrisk import (
+    Density,
     FiniteProbSpace,
+    MixingMeasure,
     ParameterError,
     Partition,
     RandomVariable,
+    ScenRiskError,
     SpaceMismatchError,
     UnsupportedSpaceError,
     cell_shuffle_average,
     cond_exp,
     dyadic_chain,
     full_cycle,
+    kusuoka_constraint,
+    power,
     quantile_var,
     refine,
 )
@@ -21,6 +26,35 @@ from scenrisk import (
 from conftest import nested_partitions, variable_with_partition, variables
 
 ATOL = 1e-12
+
+
+COIN_SPACE = FiniteProbSpace.uniform(2)
+BAD_INPUTS = {
+    "space_empty": lambda: FiniteProbSpace(np.array([])),
+    "space_nan": lambda: FiniteProbSpace(np.array([0.5, np.nan])),
+    "space_zero_atom": lambda: FiniteProbSpace(np.array([1.0, 0.0])),
+    "space_sum": lambda: FiniteProbSpace(np.array([0.5, 0.6])),
+    "space_uniform_zero": lambda: FiniteProbSpace.uniform(0),
+    "space_weights": lambda: FiniteProbSpace.from_weights([1.0, -1.0]),
+    "variable_shape": lambda: RandomVariable(COIN_SPACE, np.array([1.0])),
+    "variable_inf": lambda: RandomVariable(COIN_SPACE, np.array([1.0, np.inf])),
+    "partition_shape": lambda: Partition(COIN_SPACE, np.array([0, 0, 1])),
+    "density_shape": lambda: Density(COIN_SPACE, np.array([1.0])),
+    "density_negative": lambda: Density(COIN_SPACE, np.array([2.5, -0.5])),
+    "density_mass": lambda: Density(COIN_SPACE, np.array([1.0, 2.0])),
+    "mixing_shape": lambda: MixingMeasure(np.array([0.5]), np.array([0.5, 0.5])),
+    "mixing_levels": lambda: MixingMeasure(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+    "mixing_negative": lambda: MixingMeasure(np.array([0.5, 1.0]), np.array([1.5, -0.5])),
+    "mixing_mass": lambda: MixingMeasure(np.array([0.5, 1.0]), np.array([0.5, 0.6])),
+    "kusuoka_q": lambda: kusuoka_constraint(MixingMeasure.point_mass(0.5), 1.0),
+    "orlicz_negative_argument": lambda: power(2)(-1.0),
+}
+
+
+@pytest.mark.parametrize("build", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_input_checks_raise_scenrisk_errors(build):
+    with pytest.raises(ScenRiskError):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ from scenrisk import (
     FiniteProbSpace,
     OrliczTriple,
     RandomVariable,
+    RiskFunctional,
     TriState,
     avar,
     cap_at,
     cash_hull,
     cond_exp,
+    conjugate_sharp,
     custom_h,
+    exp_minus_one,
     exponential,
     f_transformed,
     fgh1_check,
@@ -27,6 +30,9 @@ from scenrisk import (
     power,
     transformed_T,
 )
+
+from scenrisk import risk_core
+from scenrisk.scalarmin import bracket_minimum, golden_section, scan_finite
 
 from conftest import variable_with_partition, variables
 
@@ -194,7 +200,8 @@ def test_transformed_coin(coin):
 
 
 def test_transformed_refuses_failing_fgh2(coin):
-    t = OrliczTriple(f=linear(1.0), g=power(2), h=positive_part(), fgh2=TriState.FAILS)
+    t = OrliczTriple(f=linear(1.0), g=power(2), h=positive_part())
+    assert t.fgh2 is TriState.FAILS
     with pytest.raises(CoercivityError):
         transformed_T(coin, t)
 
@@ -250,6 +257,87 @@ def test_higher_order_kernel_matches_the_generic_hull(x, c, p):
     assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
 
 
+def reference_cash_hull(f_eval, x):
+    """``cash_hull`` with the full-bracket kink scan, the reference for the
+    snap: after the golden search, every data value inside the initial
+    bracket (widened by 1e-6 of the data scale) is tried."""
+
+    def psi(s):
+        return float(f_eval(x - s)) - s
+
+    s0 = -x.mean()
+    scale = max(1.0, float(np.max(np.abs(x.values))))
+    start = scan_finite(psi, s0, scale)
+    if start is None:
+        return INF, s0
+    lo, hi = bracket_minimum(psi, start, step=1.0, window=1e6 * scale)
+    s_best, f_best, _ = golden_section(psi, lo, hi, tol=1e-10)
+    margin = 1e-6 * scale
+    for v in np.unique(x.values):
+        if lo - margin <= v <= hi + margin:
+            fv = psi(float(v))
+            if fv < f_best:
+                s_best, f_best = float(v), fv
+    return f_best, s_best
+
+
+SNAP_TRIPLES = [OrliczTriple(f=linear(3.0), g=g, h=h)
+                for g in (linear(1.5), cap_at(2.0), power(2), exp_minus_one())
+                for h in (positive_part(), exponential())]
+
+
+@st.composite
+def tied_books(draw):
+    """Books of 1-40 atoms whose values are often tied (rounded to halves)."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        space = FiniteProbSpace.uniform(n)
+    else:
+        space = FiniteProbSpace.from_weights(rng.gamma(2.0, size=n) + 1e-9)
+    values = rng.standard_t(3, size=n) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    if draw(st.booleans()):
+        values = np.round(values * 2.0) / 2.0
+    return RandomVariable(space, values)
+
+
+@given(tied_books(), st.sampled_from(SNAP_TRIPLES))
+@settings(max_examples=150, deadline=None)
+def test_kink_snap_matches_the_full_bracket_scan(x, t):
+    slow, _ = reference_cash_hull(lambda y: f_transformed(y, t), x)
+    fast = transformed_T(x, t)
+    assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
+
+
+def test_kink_snap_is_cheap_on_a_large_book(monkeypatch):
+    rng = np.random.default_rng(2024)
+    n = 10_000
+    space = FiniteProbSpace.from_weights(rng.gamma(2.0, size=n))
+    x = RandomVariable(space, rng.standard_t(3, size=n))
+    calls = []
+    inner = risk_core.f_transformed
+    monkeypatch.setattr(risk_core, "f_transformed",
+                        lambda y, t: calls.append(None) or inner(y, t))
+    value = transformed_T(x, triple(2.0, 2.0))
+    assert len(calls) <= 100
+    expected = higher_order_T(x, 2.0, 2.0)
+    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_fgh2_verdict_is_computed_once_per_triple(monkeypatch, uniform4):
+    calls = []
+    check = risk_core.fgh2_check
+    monkeypatch.setattr(risk_core, "fgh2_check", lambda t: calls.append(t) or check(t))
+    t = OrliczTriple(f=linear(2.0), g=power(2), h=exponential())
+    x = RandomVariable(uniform4, np.array([0.4, -0.3, 1.2, 0.0]))
+    y = RandomVariable(uniform4, -np.array([0.5, 1.5, 1.0, 1.0]))
+    for _ in range(3):
+        transformed_T(x, t)
+        conjugate_sharp(RiskFunctional.transformed(t), y)
+    assert len(calls) == 1
+    assert t.fgh2 is TriState.HOLDS
+
+
 @given(hull_books(), st.floats(1.0, 8.0))
 @settings(max_examples=40, deadline=None)
 def test_higher_order_p1_is_avar(x, c):
@@ -269,7 +357,6 @@ def test_transformed_exponential_h_large_positions():
 
 
 def test_transformed_family_axioms_across_triples():
-    from scenrisk import exp_minus_one
     from scenrisk.extension import random_partition
     triples = (
         OrliczTriple(f=linear(2.0), g=power(2), h=positive_part()),
@@ -307,7 +394,6 @@ def test_transformed_exponential_h_closed_form(uniform4):
 
 def test_transformed_exp_norm_generator(coin):
     # exp_minus_one G exercises the generic Luxemburg bisection inside the hull
-    from scenrisk import exp_minus_one
     t = OrliczTriple(f=linear(2.0), g=exp_minus_one(), h=positive_part())
     value = transformed_T(coin, t)
     # independent dense-grid evaluation of the same objective
@@ -430,15 +516,9 @@ def test_fgh2_exponential_h():
 
 
 def test_fgh2_boundary_against_exp_norm_generator():
-    from scenrisk import exp_minus_one
     # G^{-1}(1) = log 2 ~ 0.693: slope products straddle it
     below = OrliczTriple(f=linear(0.5), g=exp_minus_one(), h=positive_part())
     above = OrliczTriple(f=linear(0.8), g=exp_minus_one(), h=positive_part())
     assert fgh2_check(below) is TriState.FAILS
     assert fgh2_check(above) is TriState.HOLDS
 
-
-def test_checked_constructor_populates_flags():
-    t = OrliczTriple.checked(linear(2.0), power(2), positive_part())
-    assert t.fgh1 is TriState.HOLDS
-    assert t.fgh2 is TriState.HOLDS
