@@ -25,7 +25,6 @@ from .errors import (
     SpaceMismatchError,
     SpaceTooCoarseError,
     UnresolvedConjugateError,
-    UnsupportedSpaceError,
 )
 from .extension import (
     ConvergencePoint,
@@ -50,8 +49,6 @@ from .orlicz import (
     HFunction,
     OrliczFunction,
     cap_at,
-    conjugate,
-    conjugate_value_numeric,
     custom,
     custom_h,
     exp_minus_one,
@@ -62,17 +59,13 @@ from .orlicz import (
     orlicz_norm,
     positive_part,
     power,
-    validate_orlicz,
 )
 from .prob_core import (
     FiniteProbSpace,
     Partition,
     RandomVariable,
-    cell_shuffle_average,
     cond_exp,
     dyadic_chain,
-    full_cycle,
-    quantile_var,
     refine,
 )
 from .risk_core import (

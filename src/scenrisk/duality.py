@@ -31,7 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError, require_finite
-from .orlicz import orlicz_norm
+from .orlicz import _p_norm as _q_norm, orlicz_norm
 from .prob_core import FiniteProbSpace, Partition, RandomVariable, cond_exp
 from .risk_core import (OrliczTriple, RiskFunctional, _gap_weights, _higher_order_bracket,
                         _require_fgh2, avar_many)
@@ -96,16 +96,6 @@ class MixingMeasure:
         return cls(np.array([level]), np.array([1.0]))
 
 
-def _q_norm(values: np.ndarray, probs: np.ndarray, q: float) -> float:
-    """||values||_q under probs, scaled by the largest magnitude so that a
-    large q neither overflows nor underflows the power."""
-    a = np.abs(values)
-    scale = float(a.max())
-    if not 0.0 < scale < INF:
-        return scale
-    return scale * float((probs @ (a / scale) ** q) ** (1.0 / q))
-
-
 # ---------------------------------------------------------------------------
 # exact conjugate
 # ---------------------------------------------------------------------------
@@ -137,7 +127,8 @@ def _positive_part_penalty(t: OrliczTriple, z) -> float:
     The best W is nonnegative, and sup{E[Wz] : W >= 0, ||W||_G = r} is
     r ||z||*_G, with ||.||*_G the Orlicz (Amemiya) norm; the sup over r >= 0
     is F*(||z||*_G).  A linear F = c x gives the 0/inf indicator of the ball
-    ||z||*_G <= c."""
+    ||z||*_G <= c.  A G without a closed-form Orlicz norm raises
+    UnresolvedConjugateError."""
     norm = orlicz_norm(z, t.g)
     if t.f.name == "linear":
         return 0.0 if norm <= t.f.params[0] + 1e-9 else INF
@@ -186,8 +177,9 @@ def t_sharp_eta(t: OrliczTriple, z) -> float:
     """The penalty T#(-z) of the triple t at a density z (a Density, or a
     RandomVariable holding one): the minimum of the eta-form
     E[eta H*(z / eta)] + F*(||eta||*_G), in closed form.  For H = x^+, H* is the
-    indicator of [0, 1], eta = z is optimal and the value is F*(||z||*_G); H = exp
-    goes to :func:`_exponential_penalty`; other H raise UnresolvedConjugateError.
+    indicator of [0, 1], eta = z is optimal and the value is F*(||z||*_G), for a
+    built-in G; H = exp goes to :func:`_exponential_penalty`; anything else
+    raises UnresolvedConjugateError.
     """
     if t.h.name == "positive_part":
         return _positive_part_penalty(t, z)

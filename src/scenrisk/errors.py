@@ -11,10 +11,6 @@ class SpaceMismatchError(ScenRiskError):
     """Operands live on different probability spaces."""
 
 
-class UnsupportedSpaceError(ScenRiskError):
-    """The operation needs a space shape (e.g. uniform atoms) that is not given."""
-
-
 class SpaceTooCoarseError(ScenRiskError):
     """Atoms are too heavy to realize the requested construction tolerance."""
 
@@ -25,8 +21,8 @@ class CoercivityError(ScenRiskError):
 
 class UnresolvedConjugateError(ScenRiskError):
     """No exact conjugate is known: a custom functional, a transformed triple
-    whose H is neither x^+ nor exp, or H = exp with an F or G that has no
-    closed form."""
+    whose H is neither x^+ nor exp, H = x^+ with a G that has no closed-form
+    Orlicz norm, or H = exp with an F or G that has no closed form."""
 
 
 class InvalidOrliczError(ScenRiskError):

@@ -3,41 +3,45 @@
 An Orlicz function G maps [0, inf) to [0, inf], is left-continuous, convex,
 nondecreasing, vanishes at 0 and grows to infinity.  It generates the
 Luxemburg norm  inf{lam > 0 : E[G(|X|/lam)] <= 1}  and the Orlicz norm
-sup{E[XY] : ||Y||_G <= 1}, computed here through the Amemiya form.
+sup{E[XY] : ||Y||_G <= 1}.  The Orlicz norm is in closed form for the
+power, linear, cap and exp_minus_one kinds and refused for any other G; the
+Luxemburg norm is in closed form for the power, linear and cap kinds and
+bisected otherwise.
 
 Extended values are plain IEEE ``math.inf``.
 
 The same class doubles as the outer transform F of a risk triple, which obeys
 relaxed axioms (F(0) need not be 0 and F may jump to infinity anywhere), so
-shape validation is explicit (:func:`validate_orlicz`) rather than baked into
-construction.
+construction does not police the shape of a custom function.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidOrliczError, ParameterError
+from .errors import InvalidOrliczError, ParameterError, UnresolvedConjugateError
 from .prob_core import FiniteProbSpace, RandomVariable
-from .scalarmin import golden_section
 
 INF = math.inf
 
 BISECT_REL_TOL = 1e-12
-BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class OrliczFunction:
     """Scalar convex increasing function on [0, inf) with extended values.
 
-    Built-in kinds carry closed-form conjugates and exact asymptotic slopes;
-    custom functions must supply their conjugate (numeric conjugation is only
-    a cross-check, see :func:`conjugate_value_numeric`).
+    The built-in kinds carry closed-form conjugates and exact asymptotic
+    slopes; the four public ones (power, linear, cap, exp_minus_one) also
+    carry closed-form Orlicz norms.  A custom function may supply its
+    conjugate, which serves it as the outer transform F of a triple (the
+    penalty needs F*); as G it gets a bisected Luxemburg norm, and its Orlicz
+    norm, hence its penalty, is refused.
     """
 
     name: str
@@ -63,11 +67,6 @@ class OrliczFunction:
                 f"{self.name}: custom functions must supply their conjugate"
             )
         return self._conjugate_factory()
-
-
-def conjugate(g: OrliczFunction) -> OrliczFunction:
-    """Convex conjugate G*(y) = sup_{x>=0} {xy - G(x)} (again Orlicz-shaped)."""
-    return g.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +217,9 @@ def custom(
     name: str = "custom",
 ) -> OrliczFunction:
     """Wrap a user-supplied evaluator.  The conjugate evaluator is required
-    for anything feeding the duality layer.  The name of a built-in kind is
-    refused, since the norms and the duality layer dispatch on ``name``."""
+    when the function is the outer transform F of a triple whose penalty is
+    taken.  The name of a built-in kind is refused, since the norms and the
+    duality layer dispatch on ``name``."""
     _require_custom_name(name)
     factory = None
     if conjugate_fn is not None:
@@ -308,53 +308,6 @@ def custom_h(
 
 
 # ---------------------------------------------------------------------------
-# shape validation (explicit; construction does not police custom inputs)
-# ---------------------------------------------------------------------------
-
-
-def validate_orlicz(g: OrliczFunction) -> None:
-    """Check the Orlicz axioms on a probe grid; raises InvalidOrliczError.
-
-    Checks: G(0) = 0, nondecreasing, midpoint convexity within 1e-10 on
-    finite values, growth to infinity at large arguments, and a finite left
-    approach at any jump to infinity.
-    """
-    if abs(g(0.0)) > 1e-12:
-        raise InvalidOrliczError(f"{g.name}: G(0) must be 0")
-    ts = np.concatenate([[0.0], np.geomspace(1e-9, 2.0 ** 40, 80)])
-    vals = np.array([g(float(t)) for t in ts])
-    finite = np.isfinite(vals)
-    fv = vals[finite]
-    if np.any(np.diff(fv) < -1e-12):
-        raise InvalidOrliczError(f"{g.name}: not nondecreasing")
-    if np.any(finite[1:] & ~finite[:-1] & (ts[1:] > 0).astype(bool)):
-        raise InvalidOrliczError(f"{g.name}: finite after infinite (not nondecreasing)")
-    # midpoint convexity on consecutive finite grid points
-    for i in range(len(ts) - 2):
-        a, b = ts[i], ts[i + 2]
-        fa, fb = vals[i], vals[i + 2]
-        if math.isfinite(fa) and math.isfinite(fb):
-            mid = g((a + b) / 2.0)
-            if mid > 0.5 * (fa + fb) + 1e-10 * (1.0 + abs(fa) + abs(fb)):
-                raise InvalidOrliczError(f"{g.name}: midpoint convexity fails near {a}")
-    tail = g(2.0 ** 200)
-    if not (tail == INF or tail > 1e3):
-        raise InvalidOrliczError(f"{g.name}: does not grow to infinity")
-    if not finite.all():
-        # locate the jump and probe the left approach
-        j = int(np.argmax(~finite))
-        lo, hi = float(ts[j - 1]), float(ts[j])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if math.isfinite(g(mid)):
-                lo = mid
-            else:
-                hi = mid
-        if not math.isfinite(g(lo)):
-            raise InvalidOrliczError(f"{g.name}: no finite left approach at the jump")
-
-
-# ---------------------------------------------------------------------------
 # G^{-1}(1) and the two norms
 # ---------------------------------------------------------------------------
 
@@ -364,6 +317,16 @@ def g_inv_one(g: OrliczFunction) -> float:
     return 1.0 / luxemburg_norm(RandomVariable(FiniteProbSpace.uniform(1), [1.0]), g)
 
 
+def _p_norm(values: np.ndarray, probs: np.ndarray, p: float, coef: float = 1.0) -> float:
+    """(coef E|values|^p)^(1/p), scaled by the largest magnitude so that a
+    large p neither overflows nor underflows the power."""
+    a = np.abs(values)
+    amax = float(a.max())
+    if not 0.0 < amax < INF:
+        return amax
+    return amax * float((coef * (probs @ (a / amax) ** p)) ** (1.0 / p))
+
+
 def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
     """inf{lam > 0 : E[G(|X|/lam)] <= 1}.
 
@@ -371,17 +334,17 @@ def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
     positively homogeneous, is solved at ``|x| / max|x|`` and scaled back: the
     map lam -> E[G(a/lam)] is nonincreasing, so lam is bracketed by doubling
     and halving from E[a] + 1 and bisected to 1e-12 relative width.  A G that
-    stays at or below 1 within the halving budget generates no finite norm
-    and raises InvalidOrliczError.
+    never exceeds 1 before lam leaves the normal float range generates no
+    finite norm and raises InvalidOrliczError.
     """
-    a = np.abs(x.values)
-    amax = float(a.max(initial=0.0))
-    if amax == 0.0:
-        return 0.0
     pr = x.space.probs
     if g.name == "power":
         p, coef = g.params
-        return amax * float((coef * (pr @ (a / amax) ** p)) ** (1.0 / p))
+        return _p_norm(x.values, pr, p, coef)
+    a = np.abs(x.values)
+    amax = float(a.max())
+    if amax == 0.0:
+        return 0.0
     if g.name == "linear":
         return float(g.params[0] * (pr @ a))
     if g.name == "cap":
@@ -398,22 +361,16 @@ def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
         return float(pr @ vals)
 
     hi = float(pr @ a) + 1.0
-    for _ in range(BISECT_MAX_ITER):
-        if mass(hi) <= 1.0:
-            break
+    while mass(hi) > 1.0:
         hi *= 2.0
-    else:
-        raise InvalidOrliczError(f"{g.name}: no finite Luxemburg norm found")
-    lo = hi
-    for _ in range(BISECT_MAX_ITER):
-        lo /= 2.0
-        if mass(lo) > 1.0:
-            break
-    else:
-        raise InvalidOrliczError(f"{g.name}: G does not exceed 1 within the halving budget")
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * hi:
-            break
+        if hi == INF:
+            raise InvalidOrliczError(f"{g.name}: no finite Luxemburg norm found")
+    lo = 0.5 * hi
+    while mass(lo) <= 1.0:
+        hi, lo = lo, 0.5 * lo
+        if lo < sys.float_info.min:  # a few more halvings and 1 / lo overflows
+            raise InvalidOrliczError(f"{g.name}: G does not exceed 1 in the float range")
+    while hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mass(mid) <= 1.0:
             hi = mid
@@ -423,57 +380,46 @@ def luxemburg_norm(x: RandomVariable, g: OrliczFunction) -> float:
 
 
 def orlicz_norm(x: RandomVariable, g: OrliczFunction) -> float:
-    """sup{E[XY] : ||Y||_G <= 1} via the Amemiya form
-    inf_{k>0} (1/k) (1 + E[G*(k |x|)]).
+    """sup{E[XY] : ||Y||_G <= 1}, which is the Amemiya form
+    inf_{k>0} (1/k) (1 + E[G*(k |x|)]), in closed form for each public kind:
 
-    Substituting u = 1/k makes the objective u + u * E[G*(|x|/u)], which is
-    convex in u (a perspective), so a coarse geometric scan plus golden
-    section suffices.  Requires a conjugate finite near 0 (true for all
-    built-in kinds).  The norm is positively homogeneous, so it is solved at
-    ``x / max|x|`` and scaled back: the grid is then relative to the input.
+    - ``power`` G = coef t^p: coef^(-1/p) ||x||_q with q = p/(p-1);
+    - ``linear(a)``: max|x| / a, attained by Y on an atom of max|x|;
+    - ``cap_at(theta)``: theta E|x|, attained by Y = theta sign(x);
+    - ``exp_minus_one``: at a = |x| / max|x| the optimal k solves
+      E[(k a - 1)^+] = 1, which is piecewise linear in k over the sorted a,
+      so the atoms it charges and then k are read off cumulative sums; the
+      norm is max|x| (1 + E[G*(k a)]) / k, whose stationarity in k makes it
+      insensitive to rounding in k.
+
+    Any other G raises UnresolvedConjugateError.
     """
+    pr = x.space.probs
+    if g.name == "power":
+        p, coef = g.params
+        q = p / (p - 1.0)
+        return _p_norm(x.values, pr, q, coef ** (1.0 - q))
     a = np.abs(x.values)
-    amax = float(a.max(initial=0.0))
+    if g.name == "linear":
+        return float(a.max()) / g.params[0]
+    if g.name == "cap":
+        return g.params[0] * float(pr @ a)
+    if g.name != "exp_minus_one":
+        raise UnresolvedConjugateError(f"no closed-form Orlicz norm for G = {g.name}")
+    amax = float(a.max())
     if amax == 0.0:
         return 0.0
     a = a / amax
-    pr = x.space.probs
-    gstar = g.conjugate()
-
-    def obj(u: float) -> float:
-        if u <= 0.0:
-            return INF
-        vals = gstar.eval_array(a / u)
-        if np.isinf(vals).any():
-            return INF
-        return u * (1.0 + float(pr @ vals))
-
-    grid = np.geomspace(2e-13, 128.0, 64)
-    fg = np.array([obj(float(u)) for u in grid])
-    i = int(np.argmin(fg))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    u_best, f_best, _ = golden_section(obj, float(lo), float(hi), tol=2e-12)
-    return amax * min(f_best, float(fg[i]))
-
-
-def conjugate_value_numeric(g: OrliczFunction, y: float, t_max: float = 2.0 ** 40) -> float:
-    """Numeric sup_{t>=0} {t*y - G(t)}; a cross-check for closed-form conjugates.
-
-    Diverging objectives are reported as inf once they exceed 1e12.
-    """
-    def neg_obj(t: float) -> float:
-        if t < 0:
-            return INF
-        v = g(t)
-        return INF if v == INF else -(t * y - v)
-
-    ts = np.concatenate([[0.0], np.geomspace(1e-9, t_max, 120)])
-    fv = np.array([neg_obj(float(t)) for t in ts])
-    i = int(np.argmin(fv))
-    if -fv[i] > 1e12:
-        return INF
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, len(ts) - 1)])
-    _, f_best, _ = golden_section(neg_obj, lo, hi, tol=1e-12 * (1.0 + hi))
-    return max(-f_best, float(-fv[i]))
+    order = np.argsort(a)[::-1]
+    s, w = a[order], pr[order]
+    cum_w, cum_ws = np.cumsum(w), np.cumsum(w * s)
+    # at k = 1 / s_i, where atom i joins, E[(k a - 1)^+] is the sum over the
+    # atoms before it, cum_ws[i-1] / s_i - cum_w[i-1]; atom i is charged iff
+    # that is below 1
+    charged = 1 + int(np.count_nonzero(cum_ws[:-1] < s[1:] * (1.0 + cum_w[:-1])))
+    k = (1.0 + cum_w[charged - 1]) / cum_ws[charged - 1]
+    ka = k * a
+    on = ka > 1.0
+    y = ka[on]
+    conj = np.sum(pr[on] * (y * np.log(y) - y + 1.0))
+    return amax * float((1.0 + conj) / k)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, SpaceMismatchError, UnsupportedSpaceError
+from .errors import ParameterError, SpaceMismatchError
 
 PROB_SUM_TOL = 1e-9
 
@@ -78,10 +77,6 @@ class FiniteProbSpace:
     def expect(self, values) -> float:
         return float(self.probs @ np.asarray(values, dtype=float))
 
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        p = self.probs
-        return float(p.max() - p.min()) <= tol * float(p.max())
-
     def matches(self, other: "FiniteProbSpace") -> bool:
         return self is other or (
             self.atom_count == other.atom_count and np.array_equal(self.probs, other.probs)
@@ -123,13 +118,6 @@ class RandomVariable:
     def l1(self) -> float:
         """E|X|, the L1 norm on the space."""
         return self.space.expect(np.abs(self.values))
-
-    def abs(self) -> "RandomVariable":
-        return RandomVariable(self.space, np.abs(self.values))
-
-    def apply(self, fn: Callable) -> "RandomVariable":
-        """Pointwise map; ``fn`` must accept numpy arrays."""
-        return RandomVariable(self.space, np.asarray(fn(self.values), dtype=float))
 
     def min(self) -> float:
         return float(self.values.min())
@@ -300,50 +288,3 @@ def _separating_depth(class_prob: np.ndarray) -> int:
     """Dyadic level that surely separates value classes of these probabilities:
     2**-depth is at most half the lightest class."""
     return max(1, int(math.ceil(math.log2(1.0 / float(class_prob.min())))) + 1)
-
-
-def quantile_var(x: RandomVariable, t: float) -> float:
-    """Value at risk at level ``t``: inf of {m : P(X + m < 0) <= t}.
-
-    Evaluated literally by enumerating thresholds over the sorted distinct
-    values; no interpolation.  Piecewise constant in ``t``.
-    """
-    if not (0.0 < t <= 1.0):
-        raise ParameterError("t must lie in (0, 1]")
-    distinct, inverse = np.unique(x.values, return_inverse=True)
-    class_prob = np.bincount(inverse, weights=x.space.probs)
-    below = np.concatenate([[0.0], np.cumsum(class_prob)[:-1]])
-    k = int(np.searchsorted(below, t, side="right")) - 1
-    return float(-distinct[k])
-
-
-def cell_shuffle_average(x: RandomVariable, p: Partition, j: int) -> RandomVariable:
-    """Average of the first ``j`` simultaneous within-cell cyclic shifts of ``x``.
-
-    Requires a uniform space: each individual shift is then a permutation of
-    atoms, hence has the same distribution as ``x``.  A full cycle
-    (``j`` = lcm of cell sizes) reproduces ``cond_exp(x, p)``.
-    """
-    _require_same_space(x.space, p.space, "cell_shuffle_average")
-    if not x.space.is_uniform():
-        raise UnsupportedSpaceError(
-            "cell_shuffle_average needs equal atom probabilities"
-        )
-    full = full_cycle(p)
-    if not (1 <= j <= full):
-        raise ParameterError(f"j must lie in [1, {full}] (lcm of cell sizes)")
-    # shift r gives the atom at position t of its cell the value at position
-    # (t + r) mod size, as np.roll(cell, -r) does
-    order, sizes, starts = p._by_cell()
-    cell = p.labels[order]
-    start, size = starts[cell], sizes[cell]
-    pos = np.arange(order.size) - start
-    acc = np.zeros(x.space.atom_count)
-    for r in range(j):
-        acc[order] += x.values[order[start + (pos + r) % size]]
-    return RandomVariable(x.space, acc / j)
-
-
-def full_cycle(p: Partition) -> int:
-    """Smallest shift count after which every cell has cycled (lcm of sizes)."""
-    return math.lcm(*p.cell_sizes.tolist())

@@ -1,11 +1,11 @@
 """One-dimensional bracketing and golden-section kernels.
 
-Shared by the Amemiya norm solver, the cash-additive hull and the numeric
-conjugate cross-checks.  Tolerances are fixed (argument width, iteration cap
-200) for reproducibility; callers report achieved widths where it matters.
-Objectives may return ``math.inf``; comparisons treat it as larger than any
-finite value, which keeps the search inside the finite valley of a convex
-function.
+The search of the generic cash-additive hull; the conjugate path is closed
+form and does not import it.  Tolerances are fixed (argument width,
+iteration cap 200) for reproducibility; callers report achieved widths where
+it matters.  Objectives may return ``math.inf``; comparisons treat it as
+larger than any finite value, which keeps the search inside the finite
+valley of a convex function.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from scenrisk import FiniteProbSpace, Partition, RandomVariable
+from scenrisk import FiniteProbSpace, ParameterError, Partition, RandomVariable
 
 
 @st.composite
@@ -64,3 +66,43 @@ def x1234(uniform4):
 def coin():
     space = FiniteProbSpace.uniform(2)
     return RandomVariable(space, np.array([-1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# within-cell cyclic shuffles: the mechanism behind the extension identity for
+# law-invariant functionals, kept here as a reference (the package never
+# shuffles)
+# ---------------------------------------------------------------------------
+
+def is_uniform(space, tol=1e-12):
+    p = space.probs
+    return float(p.max() - p.min()) <= tol * float(p.max())
+
+
+def full_cycle(p):
+    """Smallest shift count after which every cell has cycled (lcm of sizes)."""
+    return math.lcm(*p.cell_sizes.tolist())
+
+
+def cell_shuffle_average(x, p, j):
+    """Average of the first ``j`` simultaneous within-cell cyclic shifts of ``x``.
+
+    Requires a uniform space: each individual shift is then a permutation of
+    atoms, hence has the same distribution as ``x``.  A full cycle
+    (``j`` = lcm of cell sizes) reproduces ``cond_exp(x, p)``.
+    """
+    if not is_uniform(x.space):
+        raise ParameterError("cell_shuffle_average needs equal atom probabilities")
+    full = full_cycle(p)
+    if not (1 <= j <= full):
+        raise ParameterError(f"j must lie in [1, {full}] (lcm of cell sizes)")
+    # shift r gives the atom at position t of its cell the value at position
+    # (t + r) mod size, as np.roll(cell, -r) does
+    order, sizes, starts = p._by_cell()
+    cell = p.labels[order]
+    start, size = starts[cell], sizes[cell]
+    pos = np.arange(order.size) - start
+    acc = np.zeros(x.space.atom_count)
+    for r in range(j):
+        acc[order] += x.values[order[start + (pos + r) % size]]
+    return RandomVariable(x.space, acc / j)

@@ -116,6 +116,7 @@ def _density_values(data, space):
     raw = raw ** data.draw(st.sampled_from([1.0, 3.0]))
     if raw.max() == 0.0:
         raw = np.ones(space.atom_count)
+    raw = raw / raw.max()  # a subnormal draw would underflow the mass to 0
     return raw / float(space.probs @ raw)
 
 

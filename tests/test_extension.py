@@ -11,17 +11,15 @@ from scenrisk import (
     RiskFunctional,
     SpaceTooCoarseError,
     avar,
-    cell_shuffle_average,
     cond_exp,
     discretization_slack,
     extend_sup,
-    full_cycle,
     higher_order_T,
     lemma21_sequence,
     refinement_convergence,
 )
 
-from conftest import variable_with_partition, variables
+from conftest import cell_shuffle_average, full_cycle, variable_with_partition, variables
 
 
 def discretized_normal(n):

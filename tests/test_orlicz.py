@@ -6,15 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenrisk import (
+    Density,
     FiniteProbSpace,
     InvalidOrliczError,
     OrliczTriple,
     ParameterError,
     RandomVariable,
+    RiskFunctional,
+    UnresolvedConjugateError,
     cap_at,
     cond_exp,
-    conjugate,
-    conjugate_value_numeric,
+    conjugate_sharp,
     custom,
     custom_h,
     exp_minus_one,
@@ -25,9 +27,10 @@ from scenrisk import (
     orlicz_norm,
     positive_part,
     power,
+    t_sharp_eta,
     transformed_T,
-    validate_orlicz,
 )
+from scenrisk.scalarmin import golden_section
 
 from conftest import variable_with_partition, variables
 
@@ -116,27 +119,27 @@ def sup_ball_oracle(x, g):
 # ---------------------------------------------------------------------------
 
 def test_conjugate_power_two_closed_form():
-    gstar = conjugate(power(2))
+    gstar = power(2).conjugate()
     for y in (0.0, 0.5, 1.0, 3.0, 10.0):
         assert gstar(y) == pytest.approx(y * y / 4.0, rel=1e-12)
 
 
 def test_conjugate_linear_is_indicator():
-    fstar = conjugate(linear(2.0))
+    fstar = linear(2.0).conjugate()
     assert fstar(0.0) == 0.0
     assert fstar(2.0) == 0.0
     assert fstar(2.0 + 1e-9) == INF
 
 
 def test_conjugate_cap_is_linear():
-    gstar = conjugate(cap_at(1.5))
+    gstar = cap_at(1.5).conjugate()
     for y in (0.0, 1.0, 4.0):
         assert gstar(y) == pytest.approx(1.5 * y, rel=1e-12)
 
 
 def test_biconjugation_round_trips():
     for g in (power(2), power(3), linear(2.0), cap_at(1.0), exp_minus_one()):
-        gss = conjugate(conjugate(g))
+        gss = g.conjugate().conjugate()
         for t in (0.0, 0.3, 1.0, 2.5):
             a, b = g(t), gss(t)
             if a == INF or b == INF:
@@ -145,9 +148,31 @@ def test_biconjugation_round_trips():
                 assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
 
 
+def conjugate_value_numeric(g, y, t_max=2.0 ** 40):
+    """Numeric sup_{t>=0} {t*y - G(t)}: a geometric scan plus golden section.
+
+    Diverging objectives are reported as inf once they exceed 1e12.
+    """
+    def neg_obj(t):
+        if t < 0:
+            return INF
+        v = g(t)
+        return INF if v == INF else -(t * y - v)
+
+    ts = np.concatenate([[0.0], np.geomspace(1e-9, t_max, 120)])
+    fv = np.array([neg_obj(float(t)) for t in ts])
+    i = int(np.argmin(fv))
+    if -fv[i] > 1e12:
+        return INF
+    lo = float(ts[max(i - 1, 0)])
+    hi = float(ts[min(i + 1, len(ts) - 1)])
+    _, f_best, _ = golden_section(neg_obj, lo, hi, tol=1e-12 * (1.0 + hi))
+    return max(-f_best, float(-fv[i]))
+
+
 def test_numeric_conjugate_cross_check():
     for g, ys in ((power(2), (0.5, 1.0, 3.0)), (exp_minus_one(), (1.5, 3.0))):
-        gstar = conjugate(g)
+        gstar = g.conjugate()
         for y in ys:
             assert conjugate_value_numeric(g, y) == pytest.approx(gstar(y), rel=1e-6, abs=1e-8)
 
@@ -155,7 +180,7 @@ def test_numeric_conjugate_cross_check():
 def test_custom_without_conjugate_refuses():
     g = custom(lambda t: t ** 4)
     with pytest.raises(InvalidOrliczError):
-        conjugate(g)
+        g.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +272,22 @@ def test_luxemburg_refuses_g_that_never_exceeds_one(g):
         g_inv_one(g)
 
 
+@pytest.mark.parametrize("slope", [1e-5, 1e-20, 1e-70, 1e-150, 1e-200, 1e-250, 1e-300])
+def test_luxemburg_generic_path_reaches_tiny_slopes(slope):
+    # G^{-1}(1) = 1 / slope: lam is halved to near the bottom of the float range
+    g = custom(lambda t: slope * t, array_fn=lambda a: slope * a, name="tiny_slope")
+    x = RandomVariable(FiniteProbSpace.uniform(3), np.array([1.0, 3.0, 2.0]))
+    want = luxemburg_norm(x, linear(slope))
+    assert luxemburg_norm(x, g) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_luxemburg_refuses_g_that_is_infinite_off_zero():
+    g = custom(lambda t: 0.0 if t == 0.0 else INF,
+               array_fn=lambda a: np.where(a == 0.0, 0.0, INF), name="wall")
+    with pytest.raises(InvalidOrliczError):
+        g_inv_one(g)
+
+
 def test_custom_cannot_take_a_builtin_name():
     # the norms dispatch on the name: a custom "power" reached `p, coef = g.params`,
     # and a custom "linear" G made transformed_T index an empty params tuple
@@ -299,18 +340,128 @@ def test_luxemburg_monotone_in_modulus(data):
 def test_luxemburg_contracts_under_conditioning(xp):
     x, p = xp
     for g in (power(2), power(3), exp_minus_one()):
-        assert luxemburg_norm(cond_exp(x.abs(), p), g) <= luxemburg_norm(x.abs(), g) + 1e-9
+        ax = RandomVariable(x.space, np.abs(x.values))
+        assert luxemburg_norm(cond_exp(ax, p), g) <= luxemburg_norm(ax, g) + 1e-9
 
 
 # ---------------------------------------------------------------------------
 # Orlicz norm
 # ---------------------------------------------------------------------------
 
+def reference_orlicz_norm(x, g):
+    """The Amemiya form inf_{u>0} u (1 + E[G*(|x| / u)]) searched numerically:
+    the perspective is convex in u, so a 64-point geometric grid at
+    |x| / max|x| plus golden section around its best point.  Its floor
+    u = 2e-13 leaves up to about 1e-11 relative on the linear and cap kinds."""
+    a = np.abs(x.values)
+    amax = float(a.max(initial=0.0))
+    if amax == 0.0:
+        return 0.0
+    a = a / amax
+    pr = x.space.probs
+    gstar = g.conjugate()
+
+    def obj(u):
+        if u <= 0.0:
+            return INF
+        vals = gstar.eval_array(a / u)
+        if np.isinf(vals).any():
+            return INF
+        return u * (1.0 + float(pr @ vals))
+
+    grid = np.geomspace(2e-13, 128.0, 64)
+    fg = np.array([obj(float(u)) for u in grid])
+    i = int(np.argmin(fg))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    _, f_best, _ = golden_section(obj, float(lo), float(hi), tol=2e-12)
+    return amax * min(f_best, float(fg[i]))
+
+
+@st.composite
+def t3_books(draw, max_atoms=200):
+    """1-200 atoms, uniform or gamma(2) weights, t(3) values scaled by 1e-6
+    to 1e6, sometimes with zeros or ties."""
+    n = draw(st.integers(1, max_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        space = FiniteProbSpace.uniform(n)
+    else:
+        space = FiniteProbSpace.from_weights(rng.gamma(2.0, size=n) + 1e-9)
+    values = rng.standard_t(3, size=n)
+    kind = draw(st.sampled_from(["plain", "zeros", "ties"]))
+    if kind == "zeros":
+        values[rng.random(n) < 0.5] = 0.0
+    elif kind == "ties":
+        values = np.round(values * 2.0) / 2.0
+    return RandomVariable(space, values * 10.0 ** draw(st.floats(-6.0, 6.0)))
+
+
+@given(t3_books(), st.sampled_from(["p1.5", "p2", "p3", "p3_conjugate", "exp"]))
+@example(RandomVariable(FiniteProbSpace.uniform(1), np.array([1.0])), "exp")
+@example(RandomVariable(FiniteProbSpace.uniform(3), np.array([0.0, 2.0, -2.0])), "exp")
+@settings(max_examples=150, deadline=None)
+def test_orlicz_norm_closed_forms_match_the_amemiya_search(x, kind):
+    g = {"p1.5": power(1.5), "p2": power(2), "p3": power(3),
+         "p3_conjugate": power(3).conjugate(), "exp": exp_minus_one()}[kind]
+    want = reference_orlicz_norm(x, g)
+    assert orlicz_norm(x, g) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@given(t3_books(), st.sampled_from([0.5, 1.0, 2.0]))
+@settings(max_examples=100, deadline=None)
+def test_orlicz_norm_linear_and_cap_are_attained(x, theta):
+    v, pr = x.values, x.space.probs
+    top = int(np.argmax(np.abs(v)))
+    if v[top] == 0.0:
+        return
+    # linear(theta): all of Y's Luxemburg budget E[theta |Y|] = 1 on an atom of max|x|
+    g = linear(theta)
+    y = np.zeros_like(v)
+    y[top] = np.sign(v[top]) / (theta * pr[top])
+    assert luxemburg_norm(RandomVariable(x.space, y), g) == pytest.approx(1.0, rel=1e-14)
+    assert orlicz_norm(x, g) == pytest.approx(float(pr @ (v * y)), rel=1e-14)
+    # cap_at(theta): Y = theta sign(x) has max|Y| / theta = 1
+    g = cap_at(theta)
+    y = theta * np.sign(v)
+    assert luxemburg_norm(RandomVariable(x.space, y), g) == pytest.approx(1.0, rel=1e-14)
+    assert orlicz_norm(x, g) == pytest.approx(float(pr @ (v * y)), rel=1e-14)
+
+
+def test_orlicz_norm_linear_and_cap_match_the_search():
+    # the search stops short at its floor u = 2e-13: 5.8e-12 relative at most here
+    rng = np.random.default_rng(1616)
+    for _ in range(300):
+        n = int(rng.integers(1, 201))
+        space = FiniteProbSpace.from_weights(rng.gamma(2.0, size=n))
+        x = RandomVariable(space, rng.standard_t(3, size=n) * 10.0 ** rng.uniform(-6, 6))
+        for g in (linear(1.0), cap_at(1.0)):
+            want = reference_orlicz_norm(x, g)
+            assert orlicz_norm(x, g) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("g", [generic_power(2), exp_minus_one().conjugate()],
+                         ids=["custom", "entropy_conjugate"])
+def test_orlicz_norm_refuses_g_without_closed_form(g, uniform4):
+    x = RandomVariable(uniform4, np.array([-3.0, 1.0, 2.0, 0.5]))
+    with pytest.raises(UnresolvedConjugateError):
+        orlicz_norm(x, g)
+    # so does the penalty F*(||Z||*_G) of a triple with H = x^+ (FGH2 holds:
+    # 4 > G^{-1}(1), which is 1 and e)
+    t = OrliczTriple(f=linear(4.0), g=g, h=positive_part())
+    z = Density(uniform4, np.array([0.4, 1.2, 1.6, 0.8]))
+    with pytest.raises(UnresolvedConjugateError):
+        t_sharp_eta(t, z)
+    with pytest.raises(UnresolvedConjugateError):
+        conjugate_sharp(RiskFunctional.transformed(t), -z.as_variable())
+
 def test_orlicz_norm_examples(uniform4):
     one = RandomVariable.constant(uniform4, 1.0)
     assert orlicz_norm(one, power(2)) == pytest.approx(1.0, abs=1e-9)
     zero = RandomVariable.constant(uniform4, 0.0)
     assert orlicz_norm(zero, power(2)) == 0.0
+    x = RandomVariable(uniform4, np.array([-3.0, 1.0, 2.0, 0.5]))
+    assert orlicz_norm(x, cap_at(0.0)) == 0.0
 
 
 @given(variables(lo=-5, hi=5, max_atoms=4, min_atoms=2))
@@ -337,7 +488,7 @@ def test_orlicz_norm_has_no_absolute_floor(scale):
 
 def test_orlicz_norm_linear_is_sup(uniform4):
     x = RandomVariable(uniform4, np.array([-3.0, 1.0, 2.0, 0.5]))
-    assert orlicz_norm(x, linear(1.0)) == pytest.approx(3.0, rel=1e-9)
+    assert orlicz_norm(x, linear(1.0)) == 3.0
 
 
 def test_orlicz_norm_exp_kind_against_oracle(uniform4):
@@ -359,8 +510,51 @@ def test_hoelder_pairing(data):
 
 
 # ---------------------------------------------------------------------------
-# shape validation
+# shape validation: a probe of the Orlicz axioms, kept as a check on the
+# built-in kinds (construction does not police custom functions)
 # ---------------------------------------------------------------------------
+
+def validate_orlicz(g):
+    """Check the Orlicz axioms on a probe grid; raises InvalidOrliczError.
+
+    Checks: G(0) = 0, nondecreasing, midpoint convexity within 1e-10 on
+    finite values, growth to infinity at large arguments, and a finite left
+    approach at any jump to infinity.
+    """
+    if abs(g(0.0)) > 1e-12:
+        raise InvalidOrliczError(f"{g.name}: G(0) must be 0")
+    ts = np.concatenate([[0.0], np.geomspace(1e-9, 2.0 ** 40, 80)])
+    vals = np.array([g(float(t)) for t in ts])
+    finite = np.isfinite(vals)
+    fv = vals[finite]
+    if np.any(np.diff(fv) < -1e-12):
+        raise InvalidOrliczError(f"{g.name}: not nondecreasing")
+    if np.any(finite[1:] & ~finite[:-1] & (ts[1:] > 0).astype(bool)):
+        raise InvalidOrliczError(f"{g.name}: finite after infinite (not nondecreasing)")
+    # midpoint convexity on consecutive finite grid points
+    for i in range(len(ts) - 2):
+        a, b = ts[i], ts[i + 2]
+        fa, fb = vals[i], vals[i + 2]
+        if math.isfinite(fa) and math.isfinite(fb):
+            mid = g((a + b) / 2.0)
+            if mid > 0.5 * (fa + fb) + 1e-10 * (1.0 + abs(fa) + abs(fb)):
+                raise InvalidOrliczError(f"{g.name}: midpoint convexity fails near {a}")
+    tail = g(2.0 ** 200)
+    if not (tail == INF or tail > 1e3):
+        raise InvalidOrliczError(f"{g.name}: does not grow to infinity")
+    if not finite.all():
+        # locate the jump and probe the left approach
+        j = int(np.argmax(~finite))
+        lo, hi = float(ts[j - 1]), float(ts[j])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if math.isfinite(g(mid)):
+                lo = mid
+            else:
+                hi = mid
+        if not math.isfinite(g(lo)):
+            raise InvalidOrliczError(f"{g.name}: no finite left approach at the jump")
+
 
 def test_validate_accepts_builtins():
     for g in (power(2), power(1.5), linear(0.5), cap_at(2.0), exp_minus_one()):

@@ -16,14 +16,12 @@ from scenrisk import (
     FiniteProbSpace,
     Partition,
     RandomVariable,
-    cell_shuffle_average,
     cond_exp,
-    full_cycle,
     lemma21_sequence,
     refine,
 )
 
-from conftest import spaces
+from conftest import cell_shuffle_average, full_cycle, is_uniform, spaces
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,7 @@ def test_label_kernels_match_the_cell_references(case):
     assert np.max(np.abs(cond_exp(x, p).values - reference_cond_exp(x, pc))) <= tol
 
     assert full_cycle(p) == math.lcm(*(len(c) for c in pc))
-    if space.is_uniform():
+    if is_uniform(space):
         for j in range(1, full_cycle(p) + 1):
             assert np.array_equal(cell_shuffle_average(x, p, j).values,
                                   reference_shuffle(x, pc, j))
