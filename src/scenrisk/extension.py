@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .prob_core import (
     FiniteProbSpace,
     Partition,
     RandomVariable,
-    _separating_depth,
+    _dyadic_levels,
     cond_exp,
     dyadic_chain,
 )
@@ -53,7 +53,7 @@ def random_partition(space: FiniteProbSpace, rng: np.random.Generator,
     m = int(rng.integers(2, hi + 1))
     while True:
         labels = rng.integers(0, m, size=n)
-        if np.unique(labels).size == m:
+        if np.bincount(labels, minlength=m).all():
             return Partition.from_labels(space, labels)
 
 
@@ -71,19 +71,20 @@ def extend_sup(rho: Callable, x: RandomVariable, budget: int, seed: int) -> Exte
         raise ParameterError(f"seed must be >= 0, got {seed}")
     space = x.space
     rng = np.random.default_rng(seed)
-    candidates: List[Tuple[str, Partition]] = [("trivial", Partition.trivial(space))]
-    depth = _separating_depth(np.bincount(np.unique(x.values, return_inverse=True)[1],
-                                          weights=space.probs))
-    for j, p in enumerate(dyadic_chain(space, x, depth), start=1):
-        candidates.append((f"dyadic:{j}", p))
-    for b in range(budget):
-        candidates.append((f"random:{b}", random_partition(space, rng)))
-    candidates.append(("finest", Partition.finest(space)))
+    finest = Partition.finest(space)
+
+    def candidates() -> Iterator[Tuple[str, Partition]]:  # built one at a time
+        yield "trivial", Partition.trivial(space)
+        for j, p in enumerate(_dyadic_levels(space, x), start=1):
+            yield f"dyadic:{j}", p
+        for b in range(budget):
+            yield f"random:{b}", random_partition(space, rng)
+        yield "finest", finest
 
     best_value = -math.inf
-    best_partition = candidates[-1][1]
+    best_partition = finest
     samples = []
-    for label, p in candidates:
+    for label, p in candidates():
         v = float(rho(cond_exp(x, p)))
         samples.append((label, v))
         if v >= best_value:  # ties resolve to the latest, i.e. most refined
@@ -149,14 +150,15 @@ def lemma21_sequence(x: RandomVariable, n_max: int) -> List[Tuple[Partition, flo
 
     out = []
     small = np.flatnonzero(absx <= k1)
+    cum = np.cumsum(probs[small])
+    k2 = k1 + 1
     for n in range(2, n_max + 1):
         eps = 1.0 / n
         # A subset of {|x| <= k1} with P(A) in [eps, eps + max atom)
-        cum = np.cumsum(probs[small])
         stop = int(np.searchsorted(cum, eps, side="left")) + 1
         a_idx = small[:stop]
 
-        k2 = k1 + 1
+        # the tail mean falls in k2, so the smallest k2 grows as eps falls
         while float(probs @ (absx * (absx > k2))) >= eps:
             k2 += 1
 

@@ -232,9 +232,9 @@ def run_battery(table: ScenarioTable, config: BatteryConfig = BatteryConfig(),
     def dilatation():  # rho(E[X|pi]) <= rho(X) + tol
         for i in range(config.trials):
             x = variables[i % len(variables)]
-            p = random_partition(space, rng)
+            coarse = cond_exp(x, random_partition(space, rng))
             for rho in rhos:
-                lhs, rhs = rho(cond_exp(x, p)), rho(x) + tol
+                lhs, rhs = rho(coarse), rho(x) + tol
                 yield lhs - rhs, lhs, rhs, config.seed + i
     record("dilatation_monotonicity", tol, dilatation())
 

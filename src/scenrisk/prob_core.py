@@ -160,11 +160,16 @@ class RandomVariable:
 class Partition:
     """Cells of atoms given by one label per atom; atoms sharing a label form a cell.
 
-    Any labels ``np.unique`` can sort (integers, strings) are accepted and
-    renumbered ``0 .. n_cells - 1`` by first occurrence, so cell ``k`` is the
-    cell whose smallest atom ranks ``k``-th and partitions compare by content.
-    Every cell is nonempty and the cells cover the space disjointly by
-    construction.  ``labels`` is read-only, so the hash cannot drift.
+    Any labels ``np.unique`` can sort (integers, bools, floats, strings) are
+    accepted and renumbered ``0 .. n_cells - 1`` by first occurrence, so cell
+    ``k`` is the cell whose smallest atom ranks ``k``-th and partitions compare
+    by content.  Every cell is nonempty and the cells cover the space
+    disjointly by construction.  ``labels`` is read-only, so the hash cannot
+    drift.
+
+    Renumbering costs O(N + K log K) for N atoms and K cells when the labels
+    are integers spanning fewer than ``4 N`` values: no sort touches the
+    atoms.  Other labels are first compressed by one ``np.unique``.
     """
 
     space: FiniteProbSpace
@@ -174,10 +179,7 @@ class Partition:
         lab = np.asarray(self.labels)
         if lab.shape != (self.space.atom_count,):
             raise ParameterError(f"one label per atom required, got shape {lab.shape}")
-        _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
-        rank = np.empty(first.size, dtype=np.intp)
-        rank[np.argsort(first)] = np.arange(first.size)
-        canon = rank[inverse]
+        canon = _first_occurrence_labels(_codes(lab))
         canon.flags.writeable = False
         object.__setattr__(self, "labels", canon)
 
@@ -236,6 +238,40 @@ class Partition:
         return f"Partition(cells={self.n_cells})"
 
 
+def _codes(lab: np.ndarray) -> np.ndarray:
+    """Nonnegative integer codes, equal exactly where the labels are equal, in
+    a fresh array: integer labels spanning fewer than ``4 N`` values are
+    shifted by their minimum, anything else is compressed by ``np.unique``."""
+    n = lab.size
+    if lab.dtype.kind in "iu" and int(lab.max()) - int(lab.min()) < 4 * n:
+        # unsigned labels subtract in their own type, signed ones in intp: no overflow
+        wide = lab if lab.dtype.kind == "u" else lab.astype(np.intp, copy=False)
+        return (wide - lab.min()).astype(np.intp, copy=False)
+    return np.unique(lab, return_inverse=True)[1]
+
+
+def _first_occurrence_labels(codes: np.ndarray) -> np.ndarray:
+    """Renumber codes ``0 .. K - 1`` in the order of their first atom.
+
+    ``np.minimum.at`` reads each code's first atom in one pass; only the K
+    used codes are ranked, and that sort is skipped when their first atoms
+    already increase with the code (``finest``, canonical labels).
+    """
+    n = codes.size
+    first = np.full(int(codes.max()) + 1, n, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(n))
+    used = np.flatnonzero(first < n)
+    firsts = first[used]
+    if np.all(firsts[1:] > firsts[:-1]):
+        if used.size == first.size:  # the codes are canonical already
+            return codes
+    else:
+        used = used[np.argsort(firsts)]
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[used] = np.arange(used.size)
+    return rank[codes]
+
+
 def cond_exp(x: RandomVariable, p: Partition) -> RandomVariable:
     """Conditional expectation of ``x`` given the partition ``p``.
 
@@ -266,22 +302,36 @@ def dyadic_chain(space: FiniteProbSpace, x: RandomVariable, depth: int):
     converges to ``x`` in L1 -- exactly once bins separate all distinct values.
     Levels from the separating depth on are the value-class partition; a book
     needing more than 62 levels (the int64 bin labels) raises ParameterError.
+
+    The values are sorted once; each level then costs O(N + K log K) for its
+    K cells, since its bins are ranked per value class, not per atom.
     """
     _require_same_space(space, x.space, "dyadic_chain")
     if depth < 1:
         raise ParameterError("depth must be >= 1")
+    chain = list(_dyadic_levels(space, x, depth))
+    return chain + [chain[-1]] * (depth - len(chain))
+
+
+def _dyadic_levels(space: FiniteProbSpace, x: RandomVariable, depth=None):
+    """Levels 1 .. min(depth, separating depth) of :func:`dyadic_chain`, built
+    one at a time as they are read; ``depth=None`` runs to the separating depth."""
     _, inverse = np.unique(x.values, return_inverse=True)
     class_prob = np.bincount(inverse, weights=space.probs)
     separating = _separating_depth(class_prob)
-    exact = min(depth, separating)
+    exact = separating if depth is None else min(depth, separating)
     if exact > 62:
         raise ParameterError(f"separating the values needs {separating} > 62 dyadic levels")
     left_cum = np.concatenate([[0.0], np.cumsum(class_prob)[:-1]])
-    chain = []
-    for j in range(1, exact + 1):
+
+    def level(j: int) -> Partition:
+        # the bins never fall from one value class to the next, so the running
+        # count of their steps ranks them densely below the class count
         bins = np.floor(left_cum * (2.0 ** j)).astype(np.int64)
-        chain.append(Partition.from_labels(space, bins[inverse]))
-    return chain + [chain[-1]] * (depth - exact)
+        dense = np.concatenate([[0], np.cumsum(bins[1:] != bins[:-1])])
+        return Partition.from_labels(space, dense[inverse])
+
+    return map(level, range(1, exact + 1))
 
 
 def _separating_depth(class_prob: np.ndarray) -> int:

@@ -1,8 +1,9 @@
-"""Label-array partition kernels against the tuple-of-cells kernels they replaced.
+"""Label-array partition kernels against the kernels they replaced.
 
-The references below keep the earlier representation: a partition is the
-sorted tuple of its sorted cells, and every kernel loops over the cells.  They
-are slow and exact, and the fast kernels in ``prob_core`` must agree with them.
+The references below keep the earlier representations: a partition is the
+sorted tuple of its sorted cells, and every kernel loops over the cells; labels
+are renumbered through one ``np.unique`` sort of the labels.  They are slow and
+exact, and the fast kernels in ``prob_core`` must agree with them.
 """
 
 import math
@@ -17,7 +18,9 @@ from scenrisk import (
     Partition,
     RandomVariable,
     cond_exp,
+    dyadic_chain,
     lemma21_sequence,
+    random_partition,
     refine,
 )
 
@@ -34,6 +37,37 @@ def reference_cells(labels):
     for i, lab in enumerate(labels):
         cells.setdefault(lab, []).append(i)
     return tuple(sorted(tuple(sorted(c)) for c in cells.values()))
+
+
+def reference_labels(labels):
+    """Renumber by first occurrence through one sort of the labels."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def reference_random_partition(space, rng, max_cells=8):
+    """random_partition with its emptiness test through ``np.unique``."""
+    n = space.atom_count
+    if n == 1:
+        return np.zeros(1, dtype=np.intp)
+    m = int(rng.integers(2, min(max_cells, n) + 1))
+    while True:
+        labels = rng.integers(0, m, size=n)
+        if np.unique(labels).size == m:
+            return reference_labels(labels)
+
+
+def reference_dyadic_labels(x, depth):
+    """The levels of dyadic_chain as bins of the left class mass, per atom."""
+    _, inverse = np.unique(x.values, return_inverse=True)
+    class_prob = np.bincount(inverse, weights=x.space.probs)
+    exact = min(depth, max(1, math.ceil(math.log2(1.0 / class_prob.min())) + 1))
+    left_cum = np.concatenate([[0.0], np.cumsum(class_prob)[:-1]])
+    levels = [reference_labels(np.floor(left_cum * 2.0 ** j).astype(np.int64)[inverse])
+              for j in range(1, exact + 1)]
+    return levels + [levels[-1]] * (depth - exact)
 
 
 def reference_cond_exp(x, cells):
@@ -148,6 +182,92 @@ def test_label_kernels_match_the_cell_references(case):
         for j in range(1, full_cycle(p) + 1):
             assert np.array_equal(cell_shuffle_average(x, p, j).values,
                                   reference_shuffle(x, pc, j))
+
+
+@st.composite
+def labelings(draw):
+    """One label per atom, of every kind Partition accepts."""
+    n = draw(st.integers(1, 64))
+
+    def ints(lo, hi, dtype=np.int64):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)),
+                        dtype=dtype)
+
+    offset = draw(st.integers(-(2 ** 62), 0))
+    span = draw(st.integers(0, 8 * n))  # either side of the dense range
+    kind = draw(st.sampled_from(["offset", "sparse", "int8", "uint8", "uint64",
+                                 "uint64_top", "bool", "float", "str", "canonical",
+                                 "finest"]))
+    if kind == "offset":
+        return ints(offset, offset + span)
+    if kind == "sparse":
+        return ints(-(2 ** 63), 2 ** 63 - 1)
+    if kind == "int8":  # differences above 127 overflow int8
+        return ints(-128, min(127, span - 128), np.int8)
+    if kind == "uint8":
+        return ints(0, 255, np.uint8)
+    if kind == "uint64":
+        return ints(0, span, np.uint64)
+    if kind == "uint64_top":  # above the int64 range
+        return ints(2 ** 64 - 1 - span, 2 ** 64 - 1, np.uint64)
+    if kind == "bool":
+        return ints(0, 1).astype(bool)
+    if kind == "float":
+        return np.array(draw(st.lists(st.sampled_from([-0.5, 0.0, 1e-300, 2.5, 1e300]),
+                                      min_size=n, max_size=n)))
+    if kind == "str":
+        return np.array(draw(st.lists(st.sampled_from(["a", "b", "cc", ""]),
+                                      min_size=n, max_size=n)))
+    if kind == "canonical":
+        return reference_labels(ints(0, span))
+    return np.arange(n)
+
+
+@given(labelings())
+@settings(max_examples=400, deadline=None)
+def test_labels_match_the_sorted_renumbering(labels):
+    before = labels.copy()
+    got = Partition(FiniteProbSpace.uniform(labels.size), labels).labels
+    assert got.dtype == np.intp and not got.flags.writeable
+    assert np.array_equal(got, reference_labels(labels))
+    assert np.array_equal(labels, before) and labels.flags.writeable
+
+
+def test_random_partition_matches_the_unique_acceptance_loop():
+    for n in (1, 2, 3, 5, 9, 40, 3000):
+        space = FiniteProbSpace.uniform(n)
+        for seed in (0, 7, 1729):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(6):
+                got = random_partition(space, rng).labels
+                assert np.array_equal(got, reference_random_partition(space, ref_rng))
+            assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)  # same draws taken
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_dyadic_chain_matches_the_per_atom_bins(data):
+    space = data.draw(spaces(min_atoms=1, max_atoms=30))
+    grid = data.draw(st.sampled_from([0.5, 0.1, 1e-3]))  # coarse grids tie values
+    vals = data.draw(st.lists(st.integers(-20, 20), min_size=space.atom_count,
+                              max_size=space.atom_count))
+    x = RandomVariable(space, np.asarray(vals) * grid)
+    depth = data.draw(st.integers(1, 14))
+    got = [p.labels for p in dyadic_chain(space, x, depth)]
+    assert len(got) == depth
+    for g, want in zip(got, reference_dyadic_labels(x, depth)):
+        assert np.array_equal(g, want)
+
+
+def test_dyadic_chain_matches_the_per_atom_bins_on_a_large_book():
+    rng = np.random.default_rng(12)
+    n = 30_000
+    space = FiniteProbSpace.from_weights(rng.uniform(0.5, 1.5, size=n))
+    for values in (rng.standard_t(4, size=n), np.round(rng.normal(size=n), 2)):
+        x = RandomVariable(space, values)
+        got = [p.labels for p in dyadic_chain(space, x, 12)]
+        for g, want in zip(got, reference_dyadic_labels(x, 12)):
+            assert np.array_equal(g, want)
 
 
 def test_lemma21_cells_match_the_tuple_construction():
