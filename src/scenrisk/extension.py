@@ -116,6 +116,18 @@ def discretization_slack(x: RandomVariable) -> float:
     return 2.0 * float(x.space.probs.max()) * rng
 
 
+def _least_integer(holds: Callable[[int], bool], lo: int) -> int:
+    """Smallest integer k >= lo with ``holds(k)`` for a predicate that stays true
+    once true: steps 1, 2, 4, ... up from lo, then bisection; O(log k) calls."""
+    hi, step = lo, 1
+    while not holds(hi):
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return hi
+
+
 def lemma21_sequence(x: RandomVariable, n_max: int) -> List[Tuple[Partition, float, float]]:
     """Constructive partition sequence with uniform domination bounds.
 
@@ -144,9 +156,7 @@ def lemma21_sequence(x: RandomVariable, n_max: int) -> List[Tuple[Partition, flo
             f"atom probability {max_atom:g} exceeds eps/4 = {eps_min / 4.0:g} at n = {n_max}"
         )
 
-    k1 = 0
-    while space.expect(absx <= k1) <= 0.5:
-        k1 += 1
+    k1 = _least_integer(lambda k: space.expect(absx <= k) > 0.5, 0)
 
     out = []
     small = np.flatnonzero(absx <= k1)
@@ -159,8 +169,7 @@ def lemma21_sequence(x: RandomVariable, n_max: int) -> List[Tuple[Partition, flo
         a_idx = small[:stop]
 
         # the tail mean falls in k2, so the smallest k2 grows as eps falls
-        while float(probs @ (absx * (absx > k2))) >= eps:
-            k2 += 1
+        k2 = _least_integer(lambda k: float(probs @ (absx * (absx > k))) < eps, k2)
 
         in_a = np.zeros(space.atom_count, dtype=bool)
         in_a[a_idx] = True

@@ -54,7 +54,10 @@ class OrliczFunction:
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ParameterError("Orlicz-type functions are defined on [0, inf)")
-        return float(self._evaluate(t))
+        try:
+            return float(self._evaluate(t))
+        except OverflowError:  # nondecreasing, so inf beyond float range
+            return INF
 
     def eval_array(self, arr: np.ndarray) -> np.ndarray:
         if self._evaluate_array is not None:

@@ -161,11 +161,11 @@ class Partition:
     """Cells of atoms given by one label per atom; atoms sharing a label form a cell.
 
     Any labels ``np.unique`` can sort (integers, bools, floats, strings) are
-    accepted and renumbered ``0 .. n_cells - 1`` by first occurrence, so cell
-    ``k`` is the cell whose smallest atom ranks ``k``-th and partitions compare
-    by content.  Every cell is nonempty and the cells cover the space
-    disjointly by construction.  ``labels`` is read-only, so the hash cannot
-    drift.
+    accepted (others raise ParameterError) and renumbered ``0 .. n_cells - 1``
+    by first occurrence, so cell ``k`` is the cell whose smallest atom ranks
+    ``k``-th and partitions compare by content.  Every cell is nonempty and
+    the cells cover the space disjointly by construction.  ``labels`` is
+    read-only, so the hash cannot drift.
 
     Renumbering costs O(N + K log K) for N atoms and K cells when the labels
     are integers spanning fewer than ``4 N`` values: no sort touches the
@@ -247,7 +247,10 @@ def _codes(lab: np.ndarray) -> np.ndarray:
         # unsigned labels subtract in their own type, signed ones in intp: no overflow
         wide = lab if lab.dtype.kind == "u" else lab.astype(np.intp, copy=False)
         return (wide - lab.min()).astype(np.intp, copy=False)
-    return np.unique(lab, return_inverse=True)[1]
+    try:
+        return np.unique(lab, return_inverse=True)[1]
+    except TypeError as exc:  # labels np.unique cannot order, e.g. [1, "a"] or [None, None]
+        raise ParameterError(f"labels must be mutually comparable: {exc}") from exc
 
 
 def _first_occurrence_labels(codes: np.ndarray) -> np.ndarray:

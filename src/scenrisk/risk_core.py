@@ -6,9 +6,10 @@ and a loss reshaper H:
     T(X) = inf_s { F(||H(s - X)||_G) - s },
 
 the cash-additive hull of f(X) = F(||H(-X)||_G), computed by the generic
-:func:`cash_hull`; the higher-order member T_{c,p} has its own kernel on the
-plain value array, :func:`higher_order_T`, with ``cash_hull`` as the tests'
-slow reference.  The slope condition (FGH2) makes the hull objective
+:func:`cash_hull`, a one-dimensional search whose widths are relative to
+max|X|; the higher-order member T_{c,p} has its own kernel on the plain value
+array, :func:`higher_order_T`, with ``cash_hull`` as the tests' slow
+reference.  The slope condition (FGH2) makes the hull objective
 coercive so the infimum is attained; (FGH1) rules out an identically-infinite
 T.  Both are probed by checkers returning a tri-state, because a numeric
 probe can certify growth (convexity gives certified slope lower bounds) but
@@ -29,9 +30,10 @@ import numpy as np
 from .errors import CoercivityError, ParameterError, require_finite
 from .orlicz import HFunction, OrliczFunction, g_inv_one, luxemburg_norm
 from .prob_core import RandomVariable
-from .scalarmin import BracketError, bracket_minimum, golden_section, scan_finite
 
 INF = math.inf
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_DOUBLINGS = 60  # outward probes of the finite scan and downhill doublings of the walk
 
 
 class TriState(enum.Enum):
@@ -178,32 +180,67 @@ def f_transformed(x: RandomVariable, t: OrliczTriple) -> float:
     return t.f(norm)
 
 
-def cash_hull(f_eval: Callable, x: RandomVariable, step: float = 1.0):
-    """Attained minimum of s -> f(X - s) - s together with a minimizer.
+def cash_hull(f_eval: Callable, x: RandomVariable):
+    """Attained minimum of psi(s) = f(X - s) - s together with a minimizer.
 
-    Brackets by doubling outward from s0 = -E[x] (walking downhill; a flat
-    asymptote counts as attained), golden-sections to argument width 1e-10,
-    then snaps to the data values beside the golden minimizer (within the
-    final width plus 1e-6 of the data scale), the kinks of a piecewise-linear
-    objective.  A kink farther out cannot beat the golden value by more than
-    the golden tolerance, by convexity.  Sixty fruitless doublings signal a
-    non-coercive objective (FGH2 violated or a custom f without growth).
+    Widths are relative to the data unit u = max|X| (1 when X = 0).  From
+    s0 = -E[X]: the first finite psi outward (psi may be inf, which compares
+    above every finite value); a downhill walk with steps doubling from
+    max(u, 1), where a flat stretch counts as attained only within 1e6 max(u, 1)
+    of the start (a decay to an unattained infimum also flattens far out); a
+    golden section to width 1e-10 u, or until its interior points no longer
+    split; a snap to the data values within the final width plus 1e-6 u of its
+    minimizer, the kinks of a piecewise-linear objective (by convexity a
+    farther kink cannot beat the golden value by more than the golden
+    tolerance).  Sixty fruitless doublings raise CoercivityError.
     """
 
     def psi(s: float) -> float:
         return float(f_eval(x - s)) - s
 
     s0 = -x.mean()
-    scale = max(1.0, float(np.max(np.abs(x.values))))
-    start = scan_finite(psi, s0, scale)
-    if start is None:
+    unit = float(np.max(np.abs(x.values))) or 1.0
+    reach = max(unit, 1.0)
+    probes = [s0] + [s0 + sign * reach * 2.0 ** k for k in range(_DOUBLINGS + 1) for sign in (1, -1)]
+    for start in probes:
+        f_start = psi(start)
+        if f_start < INF:
+            break
+    else:
         return INF, s0
-    try:
-        lo, hi = bracket_minimum(psi, start, step=step, window=1e6 * scale)
-    except BracketError as exc:
-        raise CoercivityError(str(exc)) from exc
-    s_best, f_best, width = golden_section(psi, lo, hi, tol=1e-10)
-    near = x.values[np.abs(x.values - s_best) <= width + 1e-6 * scale]
+
+    step = reach
+    f_left, f_right = psi(start - step), psi(start + step)
+    if f_start <= f_left and f_start <= f_right:
+        lo, hi = start - step, start + step
+    else:
+        direction = -1.0 if f_left < f_right else 1.0
+        before, prev, f_prev = start, start + direction * step, min(f_left, f_right)
+        for _ in range(_DOUBLINGS):
+            step *= 2.0
+            cur = prev + direction * step
+            f_cur = psi(cur)
+            if f_cur == INF or (f_cur >= f_prev and abs(cur - start) <= 1e6 * reach):
+                lo, hi = sorted((before, cur))
+                break
+            before, prev, f_prev = prev, cur, min(f_cur, f_prev)
+        else:
+            raise CoercivityError(f"no bracket after {_DOUBLINGS} doublings; objective non-coercive")
+
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = psi(c), psi(d)
+    s_best, f_best = (c, fc) if fc <= fd else (d, fd)
+    while hi - lo > 1e-10 * unit and lo < c < d < hi:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = psi(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = psi(d)
+        s_best, f_best = min((s_best, f_best), (c, fc), (d, fd), key=lambda pair: pair[1])
+    near = x.values[np.abs(x.values - s_best) <= hi - lo + 1e-6 * unit]
     for v in np.unique(near):
         fv = psi(float(v))
         if fv < f_best:

@@ -1,11 +1,11 @@
-"""One-dimensional bracketing and golden-section kernels.
+"""One-dimensional bracketing and golden-section kernels, the tests' reference search.
 
-The search of the generic cash-additive hull; the conjugate path is closed
-form and does not import it.  Tolerances are fixed (argument width,
-iteration cap 200) for reproducibility; callers report achieved widths where
-it matters.  Objectives may return ``math.inf``; comparisons treat it as
-larger than any finite value, which keeps the search inside the finite
-valley of a convex function.
+These are the kernels the generic cash-additive hull once ran on, with
+absolute widths (golden tolerance 1e-10, ``scale = max(1, max|X|)``): the
+full-bracket hull ``reference_cash_hull`` of ``test_risk_core`` and the
+numeric conjugate of ``test_orlicz`` still use them.  Objectives may return
+``math.inf``; comparisons treat it as larger than any finite value, which
+keeps the search inside the finite valley of a convex function.
 """
 
 from __future__ import annotations

@@ -164,6 +164,49 @@ def test_lemma21_gap_vanishes_with_n():
     assert gaps[-1] < 0.75  # eps * (3 + 2k1) at n = 12 with k1 = 2
 
 
+def reference_lemma21_integers(x, n_max):
+    """k1 and the k2 of each n in 2..n_max, counted up one integer at a time."""
+    absx, probs = np.abs(x.values), x.space.probs
+    k1 = 0
+    while x.space.expect(absx <= k1) <= 0.5:
+        k1 += 1
+    k2s, k2 = [], k1 + 1
+    for n in range(2, n_max + 1):
+        while float(probs @ (absx * (absx > k2))) >= 1.0 / n:
+            k2 += 1
+        k2s.append(k2)
+    return k1, k2s
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 37.0, 400.0])
+def test_lemma21_integers_match_counting_by_one(scale):
+    rng = np.random.default_rng(21)
+    n = 800
+    x = RandomVariable(FiniteProbSpace.from_weights(rng.gamma(2.0, size=n)),
+                       rng.standard_t(3, size=n) * scale)
+    k1, k2s = reference_lemma21_integers(x, 12)
+    absx = np.abs(x.values)
+    for (part, got_k1, eps), k2 in zip(lemma21_sequence(x, 12), k2s):
+        assert got_k1 == k1
+        # the closing cell is the carved set A inside {|X| <= k1}, which holds
+        # the first such atom, and the tail above k2
+        closing = part.labels == part.labels[np.flatnonzero(absx <= k1)[0]]
+        assert np.array_equal(closing & (absx > k1), absx > k2)
+
+
+def test_lemma21_takes_logarithmically_many_passes_on_a_large_unit(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 2000
+    space = FiniteProbSpace.uniform(n)
+    x = RandomVariable(space, rng.standard_t(3, size=n) * 1e9)
+    passes = []
+    inner = FiniteProbSpace.expect
+    monkeypatch.setattr(FiniteProbSpace, "expect", lambda self, v: passes.append(None) or inner(self, v))
+    (_, k1, _), = lemma21_sequence(x, 2)
+    assert k1 > 1e8
+    assert len(passes) <= 2 * np.log2(k1) + 2
+
+
 def test_lemma21_rejects_coarse_space(x1234):
     with pytest.raises(SpaceTooCoarseError):
         lemma21_sequence(x1234, 5)

@@ -30,9 +30,9 @@ from scenrisk import (
     t_sharp_eta,
     transformed_T,
 )
-from scenrisk.scalarmin import golden_section
 
 from conftest import variable_with_partition, variables
+from search_reference import golden_section
 
 INF = math.inf
 

@@ -168,6 +168,12 @@ def test_partition_must_cover_disjointly(uniform4):
         Partition.from_labels(uniform4, [[0, 0, 1, 1]])  # 2-d, one row
 
 
+@pytest.mark.parametrize("labels", [[1, "a"], [None, None]])
+def test_partition_refuses_labels_that_cannot_be_ordered(labels):
+    with pytest.raises(ParameterError, match="comparable"):
+        Partition(FiniteProbSpace.uniform(2), np.array(labels, dtype=object))
+
+
 def test_partition_labels_are_canonical_and_read_only():
     space = FiniteProbSpace.uniform(6)
     base = Partition.from_labels(space, [0, 1, 0, 2, 1, 2])

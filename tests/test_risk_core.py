@@ -32,9 +32,9 @@ from scenrisk import (
 )
 
 from scenrisk import risk_core
-from scenrisk.scalarmin import bracket_minimum, golden_section, scan_finite
 
 from conftest import variable_with_partition, variables
+from search_reference import bracket_minimum, golden_section, scan_finite
 
 INF = math.inf
 SQRT2 = math.sqrt(2.0)
@@ -255,6 +255,44 @@ def test_higher_order_kernel_matches_the_generic_hull(x, c, p):
     slow, _ = cash_hull(lambda y: f_transformed(y, t), x)
     fast = higher_order_T(x, c, p)
     assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
+
+
+def seeded_book(seed, scale):
+    """2-11 atoms with gamma(2) weights and t(3) values times ``scale``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    space = FiniteProbSpace.from_weights(rng.gamma(2.0, size=n))
+    return RandomVariable(space, rng.standard_t(3, size=n) * scale)
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in (-12, -9, -6, -3, 0, 3, 6, 9)])
+def test_generic_hull_is_scale_free(scale):
+    # every width is relative to max|X|: no floor hides an error on small units
+    for seed in range(30):
+        x = seeded_book(seed, scale)
+        for c, p in ((1.5, 3.0), (2.0, 2.0)):
+            expected = higher_order_T(x, c, p)
+            assert abs(transformed_T(x, triple(c, p)) - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+def test_generic_hull_calls_do_not_grow_with_the_unit(scale):
+    for seed in range(30):
+        x = seeded_book(seed, scale)
+        calls = []
+        t = triple(2.0, 2.0)
+        cash_hull(lambda y: calls.append(None) or f_transformed(y, t), x)
+        assert len(calls) <= 60  # 55-58 measured at every scale from 1 to 1e9
+
+
+def test_transformed_overflowing_power_is_an_infinite_value():
+    # F = G = x**2 and H = exp overflow far out; the hull must treat that as
+    # inf.  Closed form: inf_s {e^(2s) K^2 - s} = (1 + log 2)/2 + log K with
+    # K = ||e^(-X)||_2 = e^400 ((1 + e^(-800) + e^(-1000)) / 3)^(1/2)
+    x = RandomVariable(FiniteProbSpace.uniform(3), np.array([-400.0, 0.0, 300.0]))
+    t = OrliczTriple(f=power(2), g=power(2), h=exponential())
+    expected = (1.0 + math.log(2.0)) / 2.0 + 400.0 - math.log(3.0) / 2.0
+    assert transformed_T(x, t) == pytest.approx(expected, rel=1e-15)
 
 
 def reference_cash_hull(f_eval, x):
