@@ -177,7 +177,10 @@ def lemma21_sequence(x: RandomVariable, n_max: int) -> List[Tuple[Partition, flo
 
         labels = np.full(space.atom_count, -1)  # -1: the closing cell
         if omega_prime.any():
-            v = vals[omega_prime]
-            labels[omega_prime] = np.floor((v - v.min()) / (eps / 2.0)).astype(int)
+            bins = vals[omega_prime]  # a copy, binned in place
+            np.floor((bins - bins.min()) / (eps / 2.0), out=bins)
+            if bins.max() >= 2.0 ** 62:  # past int64: float labels, compressed by Partition
+                labels = labels.astype(float)
+            labels[omega_prime] = bins
         out.append((Partition(space, labels), float(k1), eps))
     return out

@@ -7,14 +7,15 @@ and a loss reshaper H:
 
 the cash-additive hull of f(X) = F(||H(-X)||_G), computed by the generic
 :func:`cash_hull`, a one-dimensional search whose widths are relative to
-max|X|; the higher-order member T_{c,p} has its own kernel on the plain value
-array, :func:`higher_order_T`, with ``cash_hull`` as the tests' slow
-reference.  The slope condition (FGH2) makes the hull objective
-coercive so the infimum is attained; (FGH1) rules out an identically-infinite
-T.  Both are probed by checkers returning a tri-state, because a numeric
-probe can certify growth (convexity gives certified slope lower bounds) but
-refuting a limit statement needs analytic slope data.  A triple computes its
-(FGH2) verdict once, on first use, and keeps it.
+max|X|.  The higher-order member T_{c,p} has its own kernel on the plain value
+array, :func:`higher_order_T`, which :func:`transformed_T` reads for every
+triple that is T_{c,p} (linear F, built-in power or linear G, H = x^+), with
+``cash_hull`` as the tests' slow reference.  The slope condition (FGH2) makes
+the hull objective coercive so the infimum is attained; (FGH1) rules out an
+identically-infinite T.  Both are probed by checkers returning a tri-state,
+because a numeric probe can certify growth (convexity gives certified slope
+lower bounds) but refuting a limit statement needs analytic slope data.  A
+triple computes its (FGH2) verdict once, on first use, and keeps it.
 """
 
 from __future__ import annotations
@@ -251,10 +252,20 @@ def cash_hull(f_eval: Callable, x: RandomVariable):
 def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
     """T(X) = inf_s {F(||H(s - X)||_G) - s}, the cash-additive hull of
     ``f_transformed``; refuses to run when the triple's (FGH2) verdict is
-    FAILS.  An UNKNOWN verdict lets the hull run, and a missing bracket
-    surfaces as CoercivityError.
+    FAILS.  (linear(c), coef t^p, x^+) is T_{c coef^(1/p), p} and
+    (linear(c), linear(a), x^+) is its AVaR mode p = 1 at c a, both read off
+    :func:`higher_order_T` (a passing verdict puts that c above 1).  Other
+    triples run :func:`cash_hull`: an UNKNOWN verdict lets it run, and a
+    missing bracket surfaces as CoercivityError.
     """
     _require_fgh2(t)
+    if t.h.name == "positive_part" and t.f.name == "linear":
+        c = t.f.params[0]
+        if t.g.name == "power":
+            p, coef = t.g.params
+            return higher_order_T(x, c * coef ** (1.0 / p), p)
+        if t.g.name == "linear":
+            return higher_order_T(x, c * t.g.params[0], 1.0)
     value, _ = cash_hull(lambda y: f_transformed(y, t), x)
     return value
 

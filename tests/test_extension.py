@@ -207,6 +207,21 @@ def test_lemma21_takes_logarithmically_many_passes_on_a_large_unit(monkeypatch):
     assert len(passes) <= 2 * np.log2(k1) + 2
 
 
+@pytest.mark.parametrize("scale", [1e15, 1e17, 1e18])
+def test_lemma21_value_bins_stay_narrow_past_int64(scale):
+    # (X - min X) / (eps / 2) passes 2^63 from scale 1e17 here; the bins must
+    # not wrap around, so every cell but the closing one spans < eps / 2
+    rng = np.random.default_rng(0)
+    x = RandomVariable(FiniteProbSpace.uniform(400), rng.standard_t(3, size=400) * scale)
+    for part, _, eps in lemma21_sequence(x, 20):
+        hi = np.full(part.n_cells, -np.inf)
+        lo = np.full(part.n_cells, np.inf)
+        np.maximum.at(hi, part.labels, x.values)
+        np.minimum.at(lo, part.labels, x.values)
+        assert np.count_nonzero(hi - lo >= eps / 2.0) <= 1
+    assert part.n_cells == 381  # every value left out of the closing cell has its own bin
+
+
 def test_lemma21_rejects_coarse_space(x1234):
     with pytest.raises(SpaceTooCoarseError):
         lemma21_sequence(x1234, 5)

@@ -284,6 +284,22 @@ def test_battery_deterministic():
     assert a == b
 
 
+def test_battery_evaluates_each_pool_value_once(monkeypatch):
+    from scenrisk import harness
+
+    pool, calls = [], []
+    trial_variables = harness._trial_variables
+    monkeypatch.setattr(harness, "_trial_variables",
+                        lambda *args: pool.extend(trial_variables(*args)) or pool)
+    inner = RiskFunctional.__call__
+    monkeypatch.setattr(RiskFunctional, "__call__",
+                        lambda rho, x: calls.append((rho, x)) or inner(rho, x))
+    run_battery(ingest_csv(str(DATA / "uniform4.csv")))
+    pairs = [(id(rho), id(x)) for rho, x in calls if any(x is v for v in pool)]
+    assert len(pairs) == len(set(pairs)) == 182  # 7 measures x 27 variables, 7 pairs unused
+    assert len(calls) == 1158  # measured; 1,881 when each check evaluated its own
+
+
 def test_battery_zero_tolerance_reports_failures():
     table = ingest_csv(str(DATA / "uniform4.csv"))
     config = BatteryConfig(trials=6, seed=3, tolerance=0.0)

@@ -23,6 +23,7 @@ from scenrisk import (
     f_transformed,
     fgh1_check,
     fgh2_check,
+    g_inv_one,
     higher_order_T,
     linear,
     luxemburg_norm,
@@ -42,6 +43,16 @@ SQRT2 = math.sqrt(2.0)
 
 def triple(c=2.0, p=2.0):
     return OrliczTriple(f=linear(c), g=power(p), h=positive_part())
+
+
+def generic_T(x, t):
+    """T of the triple through the generic hull, which ``transformed_T``
+    bypasses for the triples it routes to ``higher_order_T``."""
+    value, _ = cash_hull(lambda y: f_transformed(y, t), x)
+    return value
+
+
+EVALUATORS = (transformed_T, generic_T)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +211,13 @@ def test_transformed_coin(coin):
 
 
 def test_transformed_refuses_failing_fgh2(coin):
-    t = OrliczTriple(f=linear(1.0), g=power(2), h=positive_part())
-    assert t.fgh2 is TriState.FAILS
-    with pytest.raises(CoercivityError):
-        transformed_T(coin, t)
+    # the routed kinds too: F = G^{-1}(1) * x leaves the hull non-coercive
+    for f, g in ((linear(1.0), power(2)), (linear(1.0), linear(1.0)), (linear(0.5), linear(2.0)),
+                 (linear(g_inv_one(power(3).conjugate())), power(3).conjugate())):
+        t = OrliczTriple(f=f, g=g, h=positive_part())
+        assert t.fgh2 is TriState.FAILS
+        with pytest.raises(CoercivityError):
+            transformed_T(coin, t)
 
 
 @given(variables(lo=-6, hi=6, max_atoms=8))
@@ -251,9 +265,44 @@ def hull_books(draw):
 @example(RandomVariable(FiniteProbSpace.uniform(4), np.array([0.0, 0.0, 1.0, -1.0e-172])), 2.0, 2.0)
 @settings(max_examples=150, deadline=None)
 def test_higher_order_kernel_matches_the_generic_hull(x, c, p):
-    t = triple(c, p)
-    slow, _ = cash_hull(lambda y: f_transformed(y, t), x)
+    slow = generic_T(x, triple(c, p))
     fast = higher_order_T(x, c, p)
+    assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
+
+
+@given(hull_books(), st.floats(1.05, 8.0), st.sampled_from([1.02, 1.5, 2.0, 3.0, 10.0]))
+@settings(max_examples=100, deadline=None)
+def test_transformed_power_triple_is_the_higher_order_kernel(x, c, p):
+    assert transformed_T(x, triple(c, p)) == higher_order_T(x, c, p)
+
+
+# (linear(c), G, x^+) with G = coef t^p or linear(a) is T_{c coef^(1/p), p} or
+# AVaR_{1/(c a)}; the conjugate of power(3) is coef t^1.5 with coef = 3^(-1/2) / 1.5
+ROUTED = [triple(2.0, 2.0), triple(1.5, 3.0),
+          OrliczTriple(f=linear(2.5), g=power(3).conjugate(), h=positive_part()),
+          OrliczTriple(f=linear(2.0), g=linear(0.8), h=positive_part()),
+          OrliczTriple(f=linear(1.0 / 0.3), g=power(1), h=positive_part())]
+GENERIC = [OrliczTriple(f=linear(2.0), g=exp_minus_one(), h=positive_part()),
+           OrliczTriple(f=linear(1.5), g=power(3), h=exponential())]
+
+
+def test_only_the_unrouted_triples_run_the_generic_hull(monkeypatch, uniform4):
+    calls = []
+    hull = risk_core.cash_hull
+    monkeypatch.setattr(risk_core, "cash_hull", lambda f, x: calls.append(None) or hull(f, x))
+    x = RandomVariable(uniform4, np.array([0.4, -0.3, 1.2, 0.0]))
+    for t in ROUTED:
+        transformed_T(x, t)
+    assert calls == []
+    for t in GENERIC:
+        transformed_T(x, t)
+    assert len(calls) == len(GENERIC)
+
+
+@given(hull_books(), st.sampled_from(ROUTED[2:]))
+@settings(max_examples=60, deadline=None)
+def test_routed_scaled_and_linear_generators_match_the_generic_hull(x, t):
+    fast, slow = transformed_T(x, t), generic_T(x, t)
     assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
 
 
@@ -272,7 +321,7 @@ def test_generic_hull_is_scale_free(scale):
         x = seeded_book(seed, scale)
         for c, p in ((1.5, 3.0), (2.0, 2.0)):
             expected = higher_order_T(x, c, p)
-            assert abs(transformed_T(x, triple(c, p)) - expected) <= 1e-12 * abs(expected)
+            assert abs(generic_T(x, triple(c, p)) - expected) <= 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
@@ -343,20 +392,18 @@ def tied_books(draw):
 @settings(max_examples=150, deadline=None)
 def test_kink_snap_matches_the_full_bracket_scan(x, t):
     slow, _ = reference_cash_hull(lambda y: f_transformed(y, t), x)
-    fast = transformed_T(x, t)
+    fast = generic_T(x, t)
     assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
-def test_kink_snap_is_cheap_on_a_large_book(monkeypatch):
+def test_kink_snap_is_cheap_on_a_large_book():
     rng = np.random.default_rng(2024)
     n = 10_000
     space = FiniteProbSpace.from_weights(rng.gamma(2.0, size=n))
     x = RandomVariable(space, rng.standard_t(3, size=n))
     calls = []
-    inner = risk_core.f_transformed
-    monkeypatch.setattr(risk_core, "f_transformed",
-                        lambda y, t: calls.append(None) or inner(y, t))
-    value = transformed_T(x, triple(2.0, 2.0))
+    t = triple(2.0, 2.0)
+    value, _ = cash_hull(lambda y: calls.append(None) or f_transformed(y, t), x)
     assert len(calls) <= 100
     expected = higher_order_T(x, 2.0, 2.0)
     assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -468,7 +515,8 @@ def test_cash_additivity(data):
     x = data.draw(variables(lo=-6, hi=6, max_atoms=8))
     s = data.draw(st.floats(-5.0, 5.0))
     t = triple()
-    assert abs(transformed_T(x + s, t) + s - transformed_T(x, t)) <= 1e-7
+    for T in EVALUATORS:
+        assert abs(T(x + s, t) + s - T(x, t)) <= 1e-7
 
 
 @given(st.data())
@@ -480,7 +528,8 @@ def test_monotonicity(data):
     )
     x = y + RandomVariable(y.space, np.asarray(lift))
     t = triple()
-    assert transformed_T(x, t) <= transformed_T(y, t) + 1e-7
+    for T in EVALUATORS:
+        assert T(x, t) <= T(y, t) + 1e-7
 
 
 @given(st.data())
@@ -491,7 +540,8 @@ def test_convexity(data):
     lam = data.draw(st.floats(0.05, 0.95))
     t = triple()
     mix = lam * x + (1.0 - lam) * y
-    assert transformed_T(mix, t) <= lam * transformed_T(x, t) + (1.0 - lam) * transformed_T(y, t) + 1e-7
+    for T in EVALUATORS:
+        assert T(mix, t) <= lam * T(x, t) + (1.0 - lam) * T(y, t) + 1e-7
 
 
 @given(variable_with_partition(lo=-6, hi=6, max_atoms=8))
@@ -499,7 +549,8 @@ def test_convexity(data):
 def test_dilatation_monotonicity(xp):
     x, p = xp
     t = triple()
-    assert transformed_T(cond_exp(x, p), t) <= transformed_T(x, t) + 1e-7
+    for T in EVALUATORS:
+        assert T(cond_exp(x, p), t) <= T(x, t) + 1e-7
 
 
 def test_normalization_at_zero(uniform4):
