@@ -49,8 +49,6 @@ from .orlicz import (
     HFunction,
     OrliczFunction,
     cap_at,
-    custom,
-    custom_h,
     exp_minus_one,
     exponential,
     g_inv_one,
@@ -66,7 +64,6 @@ from .prob_core import (
     RandomVariable,
     cond_exp,
     dyadic_chain,
-    refine,
 )
 from .risk_core import (
     OrliczTriple,

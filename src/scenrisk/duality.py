@@ -8,8 +8,9 @@ is computed exactly by :func:`conjugate_sharp`, or refused.  Every built-in
 family is cash-additive and monotone, so rho#(-Z) = +inf unless Z is a
 density; on a density it is the family's penalty in closed form: the 0/inf
 indicator of a density box or ball for AVaR and T_{c,p}, and
-:func:`t_sharp_eta` for a transformed triple with H = x^+ or H = exp.  Other
-functionals and triples raise UnresolvedConjugateError; nothing is searched.
+:func:`t_sharp_eta` for a transformed triple with H = x^+ or H = exp.  A
+triple without a closed form raises UnresolvedConjugateError; nothing is
+searched.
 
 The higher-order dual  max{ E[-X Z] : Z >= 0, E[Z] = 1, ||Z||_q <= c }  has
 no search of its own: its optimum is the Hoelder equality case
@@ -90,10 +91,6 @@ class MixingMeasure:
         w.flags.writeable = False
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def point_mass(cls, level: float) -> "MixingMeasure":
-        return cls(np.array([level]), np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +194,10 @@ def conjugate_sharp(rho: RiskFunctional, y: RandomVariable) -> float:
     1e-9).  On a density the conjugate is the family's penalty: the 0/inf
     indicator of the density box or ball for AVaR and T_{c,p}, and
     :func:`t_sharp_eta` for a transformed triple.  Raises
-    UnresolvedConjugateError for a custom functional and for a triple that
-    ``t_sharp_eta`` refuses, and CoercivityError for a triple whose (FGH2)
-    fails, as ``transformed_T`` does.
+    UnresolvedConjugateError for a triple that ``t_sharp_eta`` refuses, and
+    CoercivityError for a triple whose (FGH2) fails, as ``transformed_T``
+    does.
     """
-    if rho.kind == "custom":
-        raise UnresolvedConjugateError("a custom functional has no exact conjugate")
     z, probs = -y.values, y.space.probs
     if np.any(z < -1e-12) or abs(float(probs @ z) - 1.0) > 1e-9:
         return INF

@@ -20,9 +20,9 @@ class CoercivityError(ScenRiskError):
 
 
 class UnresolvedConjugateError(ScenRiskError):
-    """No exact conjugate is known: a custom functional, a transformed triple
-    whose H is neither x^+ nor exp, H = x^+ with a G that has no closed-form
-    Orlicz norm, or H = exp with an F or G that has no closed form."""
+    """No exact conjugate is known: a transformed triple with H = x^+ and a G
+    that has no closed-form Orlicz norm, or with H = exp and an F or G that
+    has no closed form."""
 
 
 class InvalidOrliczError(ScenRiskError):

@@ -11,8 +11,10 @@ bisected otherwise.
 Extended values are plain IEEE ``math.inf``.
 
 The same class doubles as the outer transform F of a risk triple, which obeys
-relaxed axioms (F(0) need not be 0 and F may jump to infinity anywhere), so
-construction does not police the shape of a custom function.
+relaxed axioms (F(0) need not be 0 and F may jump to infinity anywhere).  The
+family is closed: every function comes from a constructor here, with an array
+evaluator, a closed-form conjugate and an exact asymptotic slope, and the
+norms and the duality layer dispatch on its ``name``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidOrliczError, ParameterError, UnresolvedConjugateError
+from .errors import InvalidOrliczError, ParameterError, UnresolvedConjugateError, require_finite
 from .prob_core import FiniteProbSpace, RandomVariable
 
 INF = math.inf
@@ -36,20 +38,17 @@ BISECT_REL_TOL = 1e-12
 class OrliczFunction:
     """Scalar convex increasing function on [0, inf) with extended values.
 
-    The built-in kinds carry closed-form conjugates and exact asymptotic
-    slopes; the four public ones (power, linear, cap, exp_minus_one) also
-    carry closed-form Orlicz norms.  A custom function may supply its
-    conjugate, which serves it as the outer transform F of a triple (the
-    penalty needs F*); as G it gets a bisected Luxemburg norm, and its Orlicz
-    norm, hence its penalty, is refused.
+    Every kind carries a closed-form conjugate and its exact asymptotic
+    slope lim G(t)/t; the four public ones (power, linear, cap, exp_minus_one)
+    also carry closed-form Orlicz norms.
     """
 
     name: str
     params: tuple
     _evaluate: Callable = field(repr=False)
-    _evaluate_array: Optional[Callable] = field(repr=False, default=None)
-    _conjugate_factory: Optional[Callable] = field(repr=False, default=None)
-    slope_at_infinity: Optional[float] = None  # None = unknown
+    _evaluate_array: Callable = field(repr=False)
+    _conjugate_factory: Callable = field(repr=False)
+    slope_at_infinity: float
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -60,15 +59,9 @@ class OrliczFunction:
             return INF
 
     def eval_array(self, arr: np.ndarray) -> np.ndarray:
-        if self._evaluate_array is not None:
-            return np.asarray(self._evaluate_array(arr), dtype=float)
-        return np.array([self._evaluate(float(t)) for t in np.asarray(arr)], dtype=float)
+        return np.asarray(self._evaluate_array(arr), dtype=float)
 
     def conjugate(self) -> "OrliczFunction":
-        if self._conjugate_factory is None:
-            raise InvalidOrliczError(
-                f"{self.name}: custom functions must supply their conjugate"
-            )
         return self._conjugate_factory()
 
 
@@ -95,6 +88,7 @@ def _scaled_power(coef: float, p: float) -> OrliczFunction:
 
 def power(p: float) -> OrliczFunction:
     """G(x) = x**p.  ``power(1)`` degenerates to ``linear(1)``."""
+    require_finite(p=p)
     if p < 1:
         raise ParameterError("power exponent must be >= 1")
     if p == 1:
@@ -104,6 +98,7 @@ def power(p: float) -> OrliczFunction:
 
 def linear(slope: float) -> OrliczFunction:
     """G(x) = slope * x; conjugate is the 0/inf indicator of [0, slope]."""
+    require_finite(slope=slope)
     if slope <= 0:
         raise ParameterError("slope must be positive")
     return OrliczFunction(
@@ -118,6 +113,7 @@ def linear(slope: float) -> OrliczFunction:
 
 def cap_at(threshold: float) -> OrliczFunction:
     """G(x) = 0 for x <= threshold, inf above (left-continuous jump)."""
+    require_finite(threshold=threshold)
     if threshold < 0:
         raise ParameterError("threshold must be >= 0")
 
@@ -201,51 +197,6 @@ def exp_minus_one() -> OrliczFunction:
     )
 
 
-# names the public constructors give; the norms and the duality layer dispatch on them
-_BUILTIN_NAMES = frozenset({"power", "linear", "cap", "exp_minus_one", "positive_part",
-                            "exponential"})
-
-
-def _require_custom_name(name: str) -> None:
-    if name in _BUILTIN_NAMES:
-        raise ParameterError(f"{name!r} names a built-in kind; pick another name")
-
-
-def custom(
-    fn: Callable,
-    conjugate_fn: Optional[Callable] = None,
-    array_fn: Optional[Callable] = None,
-    conjugate_array_fn: Optional[Callable] = None,
-    slope_at_infinity: Optional[float] = None,
-    name: str = "custom",
-) -> OrliczFunction:
-    """Wrap a user-supplied evaluator.  The conjugate evaluator is required
-    when the function is the outer transform F of a triple whose penalty is
-    taken.  The name of a built-in kind is refused, since the norms and the
-    duality layer dispatch on ``name``."""
-    _require_custom_name(name)
-    factory = None
-    if conjugate_fn is not None:
-
-        def factory():
-            return custom(
-                conjugate_fn,
-                conjugate_fn=fn,
-                array_fn=conjugate_array_fn,
-                conjugate_array_fn=array_fn,
-                name=name + "_conjugate",
-            )
-
-    return OrliczFunction(
-        name=name,
-        params=(),
-        _evaluate=fn,
-        _evaluate_array=array_fn,
-        _conjugate_factory=factory,
-        slope_at_infinity=slope_at_infinity,
-    )
-
-
 # ---------------------------------------------------------------------------
 # H: convex increasing on all of R, values in [0, inf)
 # ---------------------------------------------------------------------------
@@ -259,16 +210,14 @@ class HFunction:
     name: str
     params: tuple
     _evaluate: Callable = field(repr=False)
-    _evaluate_array: Optional[Callable] = field(repr=False, default=None)
-    slope_at_infinity: Optional[float] = None
+    _evaluate_array: Callable = field(repr=False)
+    slope_at_infinity: float
 
     def __call__(self, v: float) -> float:
         return float(self._evaluate(v))
 
     def eval_array(self, arr: np.ndarray) -> np.ndarray:
-        if self._evaluate_array is not None:
-            return np.asarray(self._evaluate_array(arr), dtype=float)
-        return np.array([self._evaluate(float(v)) for v in np.asarray(arr)], dtype=float)
+        return np.asarray(self._evaluate_array(arr), dtype=float)
 
 
 def positive_part() -> HFunction:
@@ -293,30 +242,15 @@ def exponential() -> HFunction:
     )
 
 
-def custom_h(
-    fn: Callable,
-    array_fn: Optional[Callable] = None,
-    slope_at_infinity: Optional[float] = None,
-    name: str = "custom_h",
-) -> HFunction:
-    """Wrap a user-supplied H; the name of a built-in kind is refused."""
-    _require_custom_name(name)
-    return HFunction(
-        name=name,
-        params=(),
-        _evaluate=fn,
-        _evaluate_array=array_fn,
-        slope_at_infinity=slope_at_infinity,
-    )
-
-
 # ---------------------------------------------------------------------------
 # G^{-1}(1) and the two norms
 # ---------------------------------------------------------------------------
 
 
 def g_inv_one(g: OrliczFunction) -> float:
-    """sup{t > 0 : G(t) <= 1}, which is 1 / luxemburg_norm(1, G)."""
+    """sup{t > 0 : G(t) <= 1}: log 2 for exp_minus_one, else 1 / luxemburg_norm(1, G)."""
+    if g.name == "exp_minus_one":
+        return math.log(2.0)
     return 1.0 / luxemburg_norm(RandomVariable(FiniteProbSpace.uniform(1), [1.0]), g)
 
 

@@ -217,13 +217,6 @@ class Partition:
         narrow = self.labels.astype(np.min_scalar_type(sizes.size - 1))
         return np.argsort(narrow, kind="stable"), sizes, np.cumsum(sizes) - sizes
 
-    def is_refinement_of(self, coarser: "Partition") -> bool:
-        """True when every cell of ``self`` sits inside a cell of ``coarser``."""
-        _require_same_space(self.space, coarser.space, "is_refinement_of")
-        owner = np.empty(self.n_cells, dtype=np.intp)
-        owner[self.labels] = coarser.labels
-        return bool(np.array_equal(owner[self.labels], coarser.labels))
-
     def __eq__(self, other):
         return (
             isinstance(other, Partition)
@@ -288,12 +281,6 @@ def cond_exp(x: RandomVariable, p: Partition) -> RandomVariable:
     w = x.space.probs[order]
     means = np.add.reduceat(w * x.values[order], starts) / np.add.reduceat(w, starts)
     return RandomVariable(x.space, means[p.labels])
-
-
-def refine(p: Partition, q: Partition) -> Partition:
-    """Common refinement: nonempty pairwise intersections of cells."""
-    _require_same_space(p.space, q.space, "refine")
-    return Partition(p.space, p.labels * q.n_cells + q.labels)
 
 
 def dyadic_chain(space: FiniteProbSpace, x: RandomVariable, depth: int):

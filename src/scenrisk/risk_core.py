@@ -12,10 +12,10 @@ array, :func:`higher_order_T`, which :func:`transformed_T` reads for every
 triple that is T_{c,p} (linear F, built-in power or linear G, H = x^+), with
 ``cash_hull`` as the tests' slow reference.  The slope condition (FGH2) makes
 the hull objective coercive so the infimum is attained; (FGH1) rules out an
-identically-infinite T.  Both are probed by checkers returning a tri-state,
-because a numeric probe can certify growth (convexity gives certified slope
-lower bounds) but refuting a limit statement needs analytic slope data.  A
-triple computes its (FGH2) verdict once, on first use, and keeps it.
+identically-infinite T.  Both are decided exactly from the kinds' data, with
+no probe: (FGH2) from the asymptotic slopes of F and H and the number
+G^{-1}(1), (FGH1) from where F is finite.  A triple computes its (FGH2)
+verdict once, on first use, and keeps it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ _DOUBLINGS = 60  # outward probes of the finite scan and downhill doublings of t
 class TriState(enum.Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,8 @@ class OrliczTriple:
 class RiskFunctional:
     """Evaluatable risk descriptor; never returns -inf.
 
-    Families: ``avar(alpha)``, ``higher_order(c, p)``, ``transformed(triple)``
-    and ``custom(fn)``.  Calling evaluates on a RandomVariable.
+    Families: ``avar(alpha)``, ``higher_order(c, p)`` and
+    ``transformed(triple)``.  Calling evaluates on a RandomVariable.
     """
 
     kind: str
@@ -76,7 +75,6 @@ class RiskFunctional:
     c: Optional[float] = None
     p: Optional[float] = None
     triple: Optional[OrliczTriple] = None
-    fn: Optional[Callable] = None
     label: str = ""
 
     @classmethod
@@ -94,10 +92,6 @@ class RiskFunctional:
     def transformed(cls, triple: OrliczTriple) -> "RiskFunctional":
         return cls(kind="transformed", triple=triple, label="transformed")
 
-    @classmethod
-    def custom(cls, fn: Callable, label: str = "custom") -> "RiskFunctional":
-        return cls(kind="custom", fn=fn, label=label)
-
     def __call__(self, x: RandomVariable) -> float:
         if self.kind == "avar":
             return avar(x, self.alpha)
@@ -105,8 +99,6 @@ class RiskFunctional:
             return higher_order_T(x, self.c, self.p)
         if self.kind == "transformed":
             return transformed_T(x, self.triple)
-        if self.kind == "custom":
-            return float(self.fn(x))
         raise ValueError(f"unknown risk kind {self.kind!r}")
 
 
@@ -255,8 +247,8 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
     FAILS.  (linear(c), coef t^p, x^+) is T_{c coef^(1/p), p} and
     (linear(c), linear(a), x^+) is its AVaR mode p = 1 at c a, both read off
     :func:`higher_order_T` (a passing verdict puts that c above 1).  Other
-    triples run :func:`cash_hull`: an UNKNOWN verdict lets it run, and a
-    missing bracket surfaces as CoercivityError.
+    triples run :func:`cash_hull`, whose missing bracket surfaces as
+    CoercivityError.
     """
     _require_fgh2(t)
     if t.h.name == "positive_part" and t.f.name == "linear":
@@ -337,64 +329,24 @@ def higher_order_T(x: RandomVariable, c: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _slope_lower_bound(fn: Callable, grows_from: float = 0.0):
-    """Certified lower bound on lim_{s->inf} fn(s)/s via difference quotients
-    at geometrically growing arguments (slopes are nondecreasing by convexity).
-    Returns inf as soon as fn hits an infinite value."""
-    best = -INF
-    prev_s = grows_from
-    prev_v = fn(prev_s)
-    if prev_v == INF:
-        return INF
-    for k in range(0, 61):
-        s = 2.0 ** k
-        if s <= prev_s:
-            continue
-        v = fn(s)
-        if v == INF:
-            return INF
-        if math.isfinite(v) and math.isfinite(prev_v):
-            best = max(best, (v - prev_v) / (s - prev_s))
-        prev_s, prev_v = s, v
-    return best
-
-
 def fgh2_check(t: OrliczTriple) -> TriState:
-    """Decide lim_{s->inf} (F(H(s)) - G^{-1}(1) * s) = inf via slope products.
+    """Decide lim_{s->inf} (F(H(s)) - G^{-1}(1) * s) = inf from exact slopes.
 
-    With a = lim F(s)/s and b = lim H(s)/s the condition holds iff
-    a*b > G^{-1}(1) (convexity makes the boundary case fail).  Difference
-    quotients give certified lower bounds; refutation needs the analytic
-    slopes carried by the built-in kinds.
+    With a = lim F(s)/s and b = lim H(s)/s, carried by every kind, the
+    condition holds iff a > 0 and a*b > G^{-1}(1) + 1e-9 (convexity makes the
+    boundary case fail); a > 0 is read first, so 0 * inf never compares.
     """
     ginv1 = g_inv_one(t.g)
-    a_lb = _slope_lower_bound(t.f)
-    b_lb = _slope_lower_bound(t.h)
-    if a_lb == INF and b_lb > 0:
-        return TriState.HOLDS
-    if b_lb == INF and a_lb > 0:
-        return TriState.HOLDS
-    if a_lb > 0 and b_lb > 0 and a_lb * b_lb > ginv1 + 1e-9:
-        return TriState.HOLDS
-    a_ub = t.f.slope_at_infinity
-    b_ub = t.h.slope_at_infinity
-    if a_ub is not None and b_ub is not None:
-        if a_ub * b_ub <= ginv1 + 1e-9:
-            return TriState.FAILS
-    return TriState.UNKNOWN
+    a, b = t.f.slope_at_infinity, t.h.slope_at_infinity
+    return TriState.HOLDS if a > 0 and a * b > ginv1 + 1e-9 else TriState.FAILS
 
 
 def fgh1_check(t: OrliczTriple) -> TriState:
-    """Search for s, eps with F((H(s) + eps) / G^{-1}(1)) finite.
+    """Decide whether some s, eps > 0 make F((H(s) + eps) / G^{-1}(1)) finite.
 
-    Existential, so the checker can certify HOLDS but never failure."""
-    ginv1 = g_inv_one(t.g)
-    probes = [0.0]
-    for k in range(0, 41):
-        probes.extend((2.0 ** k, -(2.0 ** k)))
-    for eps in (1.0, 1e-3, 1e-6):
-        for s in probes:
-            arg = (t.h(s) + eps) / ginv1
-            if math.isfinite(t.f(arg)):
-                return TriState.HOLDS
-    return TriState.UNKNOWN
+    Both H kinds have infimum 0, so it holds iff F is finite somewhere on
+    (0, inf), which fails only for cap_at(0).  A G without a finite G^{-1}(1)
+    is refused, as in :func:`fgh2_check`.
+    """
+    g_inv_one(t.g)
+    return TriState.FAILS if (t.f.name, t.f.params) == ("cap", (0.0,)) else TriState.HOLDS

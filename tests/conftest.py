@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from scenrisk import FiniteProbSpace, ParameterError, Partition, RandomVariable
+from scenrisk import FiniteProbSpace, OrliczFunction, ParameterError, Partition, RandomVariable
 
 
 @st.composite
@@ -52,6 +52,17 @@ def nested_partitions(draw, space):
     return fine, Partition.from_labels(space, np.asarray(merge)[fine.labels])
 
 
+def generic_orlicz(name, fn, array_fn=None):
+    """An OrliczFunction outside the built-in kinds, built directly: the norms
+    meet it under a name they do not dispatch on, so its Luxemburg norm is
+    bisected and its Orlicz norm refused.  ``array_fn`` defaults to ``fn``
+    mapped over the array; it has no conjugate and an unknown (nan) slope."""
+    if array_fn is None:
+        array_fn = np.vectorize(fn, otypes=[float])
+    return OrliczFunction(name=name, params=(), _evaluate=fn, _evaluate_array=array_fn,
+                          _conjugate_factory=None, slope_at_infinity=math.nan)
+
+
 @pytest.fixture
 def uniform4():
     return FiniteProbSpace.uniform(4)
@@ -66,6 +77,15 @@ def x1234(uniform4):
 def coin():
     space = FiniteProbSpace.uniform(2)
     return RandomVariable(space, np.array([-1.0, 1.0]))
+
+
+def reference_is_refinement_of(fine_cells, coarse_cells):
+    """True when every cell of ``fine_cells`` sits inside one of ``coarse_cells``."""
+    owner = {}
+    for k, cell in enumerate(coarse_cells):
+        for i in cell:
+            owner[i] = k
+    return all(len({owner[i] for i in cell}) == 1 for cell in fine_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,17 @@ full-bracket hull ``reference_cash_hull`` of ``test_risk_core`` and the
 numeric conjugate of ``test_orlicz`` still use them.  Objectives may return
 ``math.inf``; comparisons treat it as larger than any finite value, which
 keeps the search inside the finite valley of a convex function.
+
+The probe checkers ``reference_fgh2`` and ``reference_fgh1`` are the numeric
+(FGH) checkers the exact ``fgh2_check`` and ``fgh1_check`` replaced: they
+return ``None`` where their probes decide nothing.
 """
 
 from __future__ import annotations
 
 import math
+
+from scenrisk import TriState, g_inv_one
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_ITER = 200
@@ -89,4 +95,59 @@ def scan_finite(fn, center: float, scale: float = 1.0, max_doublings: int = 60):
         for s in (center + off, center - off):
             if fn(s) < math.inf:
                 return s
+    return None
+
+
+def slope_lower_bound(fn, grows_from: float = 0.0):
+    """Certified lower bound on lim_{s->inf} fn(s)/s via difference quotients
+    at geometrically growing arguments (slopes are nondecreasing by convexity).
+    Returns inf as soon as fn hits an infinite value."""
+    best = -math.inf
+    prev_s = grows_from
+    prev_v = fn(prev_s)
+    if prev_v == math.inf:
+        return math.inf
+    for k in range(0, 61):
+        s = 2.0 ** k
+        if s <= prev_s:
+            continue
+        v = fn(s)
+        if v == math.inf:
+            return math.inf
+        if math.isfinite(v) and math.isfinite(prev_v):
+            best = max(best, (v - prev_v) / (s - prev_s))
+        prev_s, prev_v = s, v
+    return best
+
+
+def reference_fgh2(t):
+    """(FGH2) by slope probes: difference quotients certify HOLDS, and the
+    kinds' analytic slopes refute; None when neither decides."""
+    ginv1 = g_inv_one(t.g)
+    a_lb = slope_lower_bound(t.f)
+    b_lb = slope_lower_bound(t.h)
+    if a_lb == math.inf and b_lb > 0:
+        return TriState.HOLDS
+    if b_lb == math.inf and a_lb > 0:
+        return TriState.HOLDS
+    if a_lb > 0 and b_lb > 0 and a_lb * b_lb > ginv1 + 1e-9:
+        return TriState.HOLDS
+    if t.f.slope_at_infinity * t.h.slope_at_infinity <= ginv1 + 1e-9:
+        return TriState.FAILS
+    return None
+
+
+def reference_fgh1(t):
+    """(FGH1) by a search for s, eps with F((H(s) + eps) / G^{-1}(1)) finite.
+
+    Existential, so the search can certify HOLDS but never failure (None)."""
+    ginv1 = g_inv_one(t.g)
+    probes = [0.0]
+    for k in range(0, 41):
+        probes.extend((2.0 ** k, -(2.0 ** k)))
+    for eps in (1.0, 1e-3, 1e-6):
+        for s in probes:
+            arg = (t.h(s) + eps) / ginv1
+            if math.isfinite(t.f(arg)):
+                return TriState.HOLDS
     return None

@@ -83,12 +83,10 @@ def test_conjugate_box_violation_is_infinite(uniform4):
 
 def test_conjugate_refuses_what_has_no_closed_form(uniform4):
     y = RandomVariable.constant(uniform4, -1.0)
-    custom_rho = RiskFunctional.custom(lambda x: -x.mean())
     exp_g = RiskFunctional.transformed(
         OrliczTriple(f=linear(2.0), g=exp_minus_one(), h=exponential()))
-    for rho in (custom_rho, exp_g):
-        with pytest.raises(UnresolvedConjugateError):
-            conjugate_sharp(rho, y)
+    with pytest.raises(UnresolvedConjugateError):
+        conjugate_sharp(exp_g, y)
     # cap_at(0) as F or G makes T identically +inf under H = exp
     for f, g in ((cap_at(0.0), power(2)), (linear(2.0), cap_at(0.0))):
         with pytest.raises(ScenRiskError, match="cap_at"):
@@ -226,7 +224,8 @@ def test_fenchel_gap_zero_dual_is_infinite(x1234):
 
 
 def test_fenchel_gap_refuses_unresolved(uniform4):
-    rho = RiskFunctional.custom(lambda x: -x.mean())
+    rho = RiskFunctional.transformed(
+        OrliczTriple(f=linear(2.0), g=exp_minus_one(), h=exponential()))
     y = RandomVariable.constant(uniform4, -1.0)
     with pytest.raises(UnresolvedConjugateError):
         fenchel_gap(rho, RandomVariable.constant(uniform4, 1.0), y)
@@ -438,9 +437,7 @@ def test_dual_and_kusuoka_reject_non_finite_parameters(coin):
 
 def test_t_sharp_eta_generic_path_runs():
     # a non-linear outer transform with H = x^+ collapses to F*(||z||*_G)
-    from scenrisk import custom
-    f = custom(lambda v: v * v, conjugate_fn=lambda y: y * y / 4.0, name="square")
-    t = OrliczTriple(f=f, g=power(2), h=positive_part())
+    t = OrliczTriple(f=power(2), g=power(2), h=positive_part())
     sp2 = FiniteProbSpace.uniform(2)
     z = Density(sp2, np.array([1.2, 0.8]))
     val = t_sharp_eta(t, z)
@@ -452,8 +449,8 @@ def test_t_sharp_eta_generic_path_runs():
 # ---------------------------------------------------------------------------
 
 def test_kusuoka_constraint_point_masses():
-    assert kusuoka_constraint(MixingMeasure.point_mass(1.0), 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert kusuoka_constraint(MixingMeasure.point_mass(0.5), 2.0) == pytest.approx(2.0, abs=1e-15)
+    assert kusuoka_constraint(MixingMeasure([1.0], [1.0]), 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert kusuoka_constraint(MixingMeasure([0.5], [1.0]), 2.0) == pytest.approx(2.0, abs=1e-15)
     mix = MixingMeasure(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
     assert kusuoka_constraint(mix, 2.0) == pytest.approx(1.25, abs=1e-15)
 

@@ -17,8 +17,6 @@ from scenrisk import (
     cap_at,
     cond_exp,
     conjugate_sharp,
-    custom,
-    custom_h,
     exp_minus_one,
     fgh2_check,
     g_inv_one,
@@ -28,23 +26,17 @@ from scenrisk import (
     positive_part,
     power,
     t_sharp_eta,
-    transformed_T,
 )
 
-from conftest import variable_with_partition, variables
+from conftest import generic_orlicz, variable_with_partition, variables
 from search_reference import golden_section
 
 INF = math.inf
 
 
 def generic_power(p):
-    """power(p) wrapped as a custom function: forces the bisection path."""
-    return custom(
-        lambda t: t ** p,
-        conjugate_fn=lambda y: (p - 1.0) * (y / p) ** (p / (p - 1.0)),
-        array_fn=lambda a: np.power(a, p),
-        name="generic_power",
-    )
+    """power(p) outside the built-in kinds: forces the bisection path."""
+    return generic_orlicz("generic_power", lambda t: t ** p, lambda a: np.power(a, p))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +169,16 @@ def test_numeric_conjugate_cross_check():
             assert conjugate_value_numeric(g, y) == pytest.approx(gstar(y), rel=1e-6, abs=1e-8)
 
 
-def test_custom_without_conjugate_refuses():
-    g = custom(lambda t: t ** 4)
-    with pytest.raises(InvalidOrliczError):
-        g.conjugate()
+@pytest.mark.parametrize("build", [
+    lambda: power(math.nan), lambda: power(INF),
+    lambda: linear(math.nan), lambda: linear(INF),
+    lambda: cap_at(math.nan), lambda: cap_at(INF),
+], ids=["power_nan", "power_inf", "linear_nan", "linear_inf", "cap_nan", "cap_inf"])
+def test_kinds_reject_non_finite_parameters(build):
+    # power(nan) as G made transformed_T return 3.0 on [1, 2, -3, 0.5] with F = power(2), and
+    # cap_at(inf) gave a zero Luxemburg norm and a ZeroDivisionError in g_inv_one
+    with pytest.raises(ParameterError, match="must be finite"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def test_custom_without_conjugate_refuses():
 def test_g_inv_one_values():
     assert g_inv_one(power(2)) == 1.0
     assert g_inv_one(power(3.5)) == pytest.approx(1.0, abs=1e-11)
-    assert g_inv_one(exp_minus_one()) == pytest.approx(math.log(2.0), abs=1e-11)
+    assert g_inv_one(exp_minus_one()) == math.log(2.0)
     assert g_inv_one(cap_at(1.0)) == 1.0
     assert g_inv_one(linear(4.0)) == 0.25
 
@@ -261,8 +259,8 @@ def test_luxemburg_generic_path_is_homogeneous(g):
 
 
 @pytest.mark.parametrize("g", [
-    custom(lambda t: min(t, 1.0), array_fn=lambda a: np.minimum(a, 1.0), name="capped_line"),
-    custom(lambda t: 0.0, array_fn=lambda a: np.zeros_like(a), name="zero_fn"),
+    generic_orlicz("capped_line", lambda t: min(t, 1.0), lambda a: np.minimum(a, 1.0)),
+    generic_orlicz("zero_fn", lambda t: 0.0, lambda a: np.zeros_like(a)),
 ], ids=["min_t_1", "zero"])
 def test_luxemburg_refuses_g_that_never_exceeds_one(g):
     x = RandomVariable(FiniteProbSpace.uniform(3), np.array([1.0, -2.0, 0.5]))
@@ -275,36 +273,23 @@ def test_luxemburg_refuses_g_that_never_exceeds_one(g):
 @pytest.mark.parametrize("slope", [1e-5, 1e-20, 1e-70, 1e-150, 1e-200, 1e-250, 1e-300])
 def test_luxemburg_generic_path_reaches_tiny_slopes(slope):
     # G^{-1}(1) = 1 / slope: lam is halved to near the bottom of the float range
-    g = custom(lambda t: slope * t, array_fn=lambda a: slope * a, name="tiny_slope")
+    g = generic_orlicz("tiny_slope", lambda t: slope * t, lambda a: slope * a)
     x = RandomVariable(FiniteProbSpace.uniform(3), np.array([1.0, 3.0, 2.0]))
     want = luxemburg_norm(x, linear(slope))
     assert luxemburg_norm(x, g) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def test_luxemburg_refuses_g_that_is_infinite_off_zero():
-    g = custom(lambda t: 0.0 if t == 0.0 else INF,
-               array_fn=lambda a: np.where(a == 0.0, 0.0, INF), name="wall")
+    g = generic_orlicz("wall", lambda t: 0.0 if t == 0.0 else INF,
+                       lambda a: np.where(a == 0.0, 0.0, INF))
     with pytest.raises(InvalidOrliczError):
         g_inv_one(g)
-
-
-def test_custom_cannot_take_a_builtin_name():
-    # the norms dispatch on the name: a custom "power" reached `p, coef = g.params`,
-    # and a custom "linear" G made transformed_T index an empty params tuple
-    x = RandomVariable(FiniteProbSpace.uniform(3), np.array([1.0, -2.0, 0.5]))
-    with pytest.raises(ParameterError):
-        luxemburg_norm(x, custom(lambda t: t * t, name="power"))
-    with pytest.raises(ParameterError):
-        g = custom(lambda t: 3.0 * t, array_fn=lambda a: 3.0 * a, name="linear")
-        transformed_T(x, OrliczTriple(f=linear(4.0), g=g, h=positive_part()))
-    with pytest.raises(ParameterError):
-        custom_h(lambda v: max(v, 0.0), name="positive_part")
 
 
 @given(variables(lo=-10, hi=10, max_atoms=6))
 @settings(max_examples=60, deadline=None)
 def test_luxemburg_bisection_agrees_with_closed_form(x):
-    # generic bisection path (custom wrapper) vs the power fast path
+    # generic bisection path vs the power fast path
     fast = luxemburg_norm(x, power(2))
     slow = luxemburg_norm(x, generic_power(2))
     assert slow == pytest.approx(fast, rel=1e-9, abs=1e-12)
@@ -511,7 +496,7 @@ def test_hoelder_pairing(data):
 
 # ---------------------------------------------------------------------------
 # shape validation: a probe of the Orlicz axioms, kept as a check on the
-# built-in kinds (construction does not police custom functions)
+# built-in kinds (construction does not police shapes)
 # ---------------------------------------------------------------------------
 
 def validate_orlicz(g):
@@ -563,8 +548,8 @@ def test_validate_accepts_builtins():
 
 def test_validate_rejects_bad_shapes():
     with pytest.raises(InvalidOrliczError):
-        validate_orlicz(custom(lambda t: t + 1.0))  # G(0) != 0
+        validate_orlicz(generic_orlicz("shifted", lambda t: t + 1.0))  # G(0) != 0
     with pytest.raises(InvalidOrliczError):
-        validate_orlicz(custom(lambda t: math.sqrt(t)))  # concave, bounded slope
+        validate_orlicz(generic_orlicz("sqrt", math.sqrt))  # concave, bounded slope
     with pytest.raises(InvalidOrliczError):
-        validate_orlicz(custom(lambda t: 0.0))  # never reaches infinity
+        validate_orlicz(generic_orlicz("zero_fn", lambda t: 0.0))  # never reaches infinity

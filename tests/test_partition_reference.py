@@ -21,7 +21,6 @@ from scenrisk import (
     dyadic_chain,
     lemma21_sequence,
     random_partition,
-    refine,
 )
 
 from conftest import cell_shuffle_average, full_cycle, is_uniform, spaces
@@ -78,24 +77,6 @@ def reference_cond_exp(x, cells):
         w = probs[idx]
         out[idx] = float(w @ x.values[idx]) / float(w.sum())
     return out
-
-
-def reference_refine(p_cells, q_cells):
-    out = []
-    for cp in p_cells:
-        for cq in q_cells:
-            inter = set(cp) & set(cq)
-            if inter:
-                out.append(tuple(sorted(inter)))
-    return tuple(sorted(out))
-
-
-def reference_is_refinement_of(fine_cells, coarse_cells):
-    owner = {}
-    for k, cell in enumerate(coarse_cells):
-        for i in cell:
-            owner[i] = k
-    return all(len({owner[i] for i in cell}) == 1 for cell in fine_cells)
 
 
 def reference_shuffle(x, cells, j):
@@ -170,9 +151,6 @@ def test_label_kernels_match_the_cell_references(case):
     assert p.cells == pc and q.cells == qc
     assert p.n_cells == len(pc)
     assert (p == q) == (pc == qc)
-    assert refine(p, q).cells == reference_refine(pc, qc)
-    assert p.is_refinement_of(q) == reference_is_refinement_of(pc, qc)
-    assert q.is_refinement_of(p) == reference_is_refinement_of(qc, pc)
 
     tol = 1e-12 * max(1.0, float(np.abs(x.values).max()))
     assert np.max(np.abs(cond_exp(x, p).values - reference_cond_exp(x, pc))) <= tol

@@ -17,7 +17,6 @@ from scenrisk import (
     cash_hull,
     cond_exp,
     conjugate_sharp,
-    custom_h,
     exp_minus_one,
     exponential,
     f_transformed,
@@ -35,7 +34,8 @@ from scenrisk import (
 from scenrisk import risk_core
 
 from conftest import variable_with_partition, variables
-from search_reference import bracket_minimum, golden_section, scan_finite
+from search_reference import (bracket_minimum, golden_section, reference_fgh1, reference_fgh2,
+                              scan_finite)
 
 INF = math.inf
 SQRT2 = math.sqrt(2.0)
@@ -578,25 +578,50 @@ def test_fgh2_tristates():
     assert fgh2_check(t_jump) is TriState.HOLDS  # F takes inf, a = inf
 
 
-def test_fgh2_unknown_without_slope_data():
-    from scenrisk import custom
-    # slope product lands exactly on the boundary and no analytic slope given
-    f = custom(lambda t: t, name="anon_linear")
-    t = OrliczTriple(f=f, g=power(2), h=positive_part())
-    assert fgh2_check(t) is TriState.UNKNOWN
-
-
 def test_fgh1_tristates():
     assert fgh1_check(triple()) is TriState.HOLDS  # real-valued F
     t_cap = OrliczTriple(f=cap_at(3.0), g=power(2), h=positive_part())
     assert fgh1_check(t_cap) is TriState.HOLDS  # small s keeps H(s)+eps below the jump
-    shifted_exp = custom_h(
-        lambda v: math.exp(v) + 1.0 if v < 700 else INF,
-        array_fn=lambda a: np.where(np.asarray(a) < 700, np.exp(np.minimum(a, 700)) + 1.0, INF),
-        name="exp_plus_one",
-    )
-    t_stuck = OrliczTriple(f=cap_at(0.0), g=power(2), h=shifted_exp)
-    assert fgh1_check(t_stuck) is TriState.UNKNOWN  # H >= 1 and F jumps at 0+
+    for h in (positive_part(), exponential()):
+        # F = cap_at(0) is infinite on all of (0, inf); the probe search left this open
+        assert fgh1_check(OrliczTriple(f=cap_at(0.0), g=power(2), h=h)) is TriState.FAILS
+
+
+def test_fgh2_zero_slope_f_fails_under_exponential_h():
+    # a = 0 and b = inf: 0 * inf is nan, which left the probe checker
+    # undecided, and the hull then returned -705.99999999 where T is -inf
+    t = OrliczTriple(f=cap_at(0.0).conjugate(), g=power(2), h=exponential())
+    assert fgh2_check(t) is TriState.FAILS
+    x = RandomVariable(FiniteProbSpace.uniform(4), np.array([1.0, 2.0, -3.0, 0.5]))
+    with pytest.raises(CoercivityError):
+        transformed_T(x, t)
+
+
+BUILTIN_F = (linear(0.5), linear(1.0), linear(2.0), power(1.5), power(3), cap_at(0.0),
+             cap_at(0.5), cap_at(2.0), exp_minus_one(), exp_minus_one().conjugate(),
+             cap_at(0.0).conjugate(), power(2).conjugate())
+BUILTIN_G = (power(1.5), power(2), power(3), linear(0.5), linear(2.0), cap_at(0.5),
+             cap_at(2.0), exp_minus_one(), exp_minus_one().conjugate())
+
+
+def test_exact_fgh_verdicts_match_the_probe_reference():
+    # 216 built-in triples; the probes leave a zero-slope F with H = exp (FGH2)
+    # and F = cap_at(0) (FGH1) undecided, and decide everything else
+    undecided = []
+    for f in BUILTIN_F:
+        for g in BUILTIN_G:
+            for h in (positive_part(), exponential()):
+                t = OrliczTriple(f=f, g=g, h=h)
+                for name, exact, reference in (("fgh2", fgh2_check(t), reference_fgh2(t)),
+                                               ("fgh1", fgh1_check(t), reference_fgh1(t))):
+                    if reference is None:
+                        undecided.append((name, f.name, f.params, h.name))
+                    else:
+                        assert exact is reference, (name, f, g, h)
+    assert sorted(set(undecided)) == [("fgh1", "cap", (0.0,), "exponential"),
+                                      ("fgh1", "cap", (0.0,), "positive_part"),
+                                      ("fgh2", "zero", (), "exponential")]
+    assert len(undecided) == 27
 
 
 def test_fgh2_exponential_h():
