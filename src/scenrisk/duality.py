@@ -8,9 +8,10 @@ is computed exactly by :func:`conjugate_sharp`, or refused.  Every built-in
 family is cash-additive and monotone, so rho#(-Z) = +inf unless Z is a
 density; on a density it is the family's penalty in closed form: the 0/inf
 indicator of a density box or ball for AVaR and T_{c,p}, and
-:func:`t_sharp_eta` for a transformed triple with H = x^+ or H = exp.  A
-triple without a closed form raises UnresolvedConjugateError; nothing is
-searched.
+:func:`t_sharp_eta` for a transformed triple with H = x^+ or H = exp (the
+latter reads the offset table kappa_F of the primal closed form in
+``risk_core``).  A triple without a closed form raises
+UnresolvedConjugateError; nothing is searched.
 
 The higher-order dual  max{ E[-X Z] : Z >= 0, E[Z] = 1, ||Z||_q <= c }  has
 no search of its own: its optimum is the Hoelder equality case
@@ -34,11 +35,10 @@ import numpy as np
 from .errors import ParameterError, ScenRiskError, UnresolvedConjugateError, require_finite
 from .orlicz import _p_norm as _q_norm, orlicz_norm
 from .prob_core import FiniteProbSpace, Partition, RandomVariable, cond_exp
-from .risk_core import (OrliczTriple, RiskFunctional, _gap_weights, _higher_order_bracket,
-                        _require_fgh2, avar_many)
+from .risk_core import (_LOG_OFFSET, OrliczTriple, RiskFunctional, _gap_weights,
+                        _higher_order_bracket, _require_fgh2, avar_many)
 
 INF = math.inf
-OMEGA = 0.5671432904097838  # the omega constant: OMEGA * exp(OMEGA) = 1
 
 
 @dataclass(frozen=True)
@@ -98,23 +98,14 @@ class MixingMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _dual_ball(rho: RiskFunctional):
-    """The density set whose 0/inf indicator is the penalty of AVaR or T_{c,p}:
-    ("box", bound) for sup-bounded densities, ("ball", c, q) for q-norm-bounded
-    ones."""
-    if rho.kind == "avar":
-        return ("box", 1.0 / rho.alpha)
-    c, p = rho.c, rho.p
-    if p == 1.0:
-        return ("box", c)
-    return ("ball", c, p / (p - 1.0))
-
-
-def _ball_membership(ball, z: np.ndarray, probs: np.ndarray) -> bool:
-    if ball[0] == "box":
-        return float(np.max(z)) <= ball[1] * (1.0 + 1e-12) + 1e-12
-    _, c, q = ball
-    return _q_norm(z, probs, q) <= c + 1e-9
+def _in_dual_set(rho: RiskFunctional, z: np.ndarray, probs: np.ndarray) -> bool:
+    """Whether the density z lies in the set whose 0/inf indicator is the
+    penalty of AVaR or T_{c,p}: z <= 1/alpha for AVaR_alpha and z <= c for
+    T_{c,1}, ||z||_q <= c with q = p/(p-1) for T_{c,p}, p > 1."""
+    if rho.kind == "avar" or rho.p == 1.0:
+        bound = 1.0 / rho.alpha if rho.kind == "avar" else rho.c
+        return float(np.max(z)) <= bound * (1.0 + 1e-12) + 1e-12
+    return _q_norm(z, probs, rho.p / (rho.p - 1.0)) <= rho.c + 1e-9
 
 
 def _positive_part_penalty(t: OrliczTriple, z) -> float:
@@ -132,13 +123,6 @@ def _positive_part_penalty(t: OrliczTriple, z) -> float:
     return t.f.conjugate()(norm)
 
 
-# kappa_F = min_u {F(u) - log u}, by the kind's parameters
-_LOG_OFFSET = {
-    "linear": lambda c: 1.0 + math.log(c),
-    "power": lambda p, coef: (1.0 + math.log(p * coef)) / p,
-    "cap": lambda theta: -math.log(theta),
-    "exp_minus_one": lambda: 1.0 / OMEGA + OMEGA - 1.0,
-}
 # sup{E[z log W] : ||W||_G <= 1}, from the entropy E[z log z] and the kind's parameters
 _LOG_SUP = {
     "power": lambda entropy, p, coef: (entropy - math.log(coef)) / p,
@@ -150,21 +134,21 @@ _LOG_SUP = {
 def _exponential_penalty(t: OrliczTriple, z: np.ndarray, probs: np.ndarray) -> float:
     """T#(-z) for a triple with H = exp, in closed form.
 
-    ||e^(s - X)||_G = e^s ||e^(-X)||_G, so substituting u = e^s ||e^(-X)||_G in
-    the hull gives T(X) = kappa_F + log ||e^(-X)||_G with
-    kappa_F = min_u {F(u) - log u}.  With W = e^(-X) / ||e^(-X)||_G and
-    E[z] = 1 the conjugate is sup{E[z log W] : ||W||_G <= 1} - kappa_F.  By
-    Gibbs' inequality the sup sits at W^p = z / coef for G = coef x^p, at
-    W = z / a for G = a x, and at W = theta for cap_at(theta); E[z log z] is
-    summed over z > 0.  Any other F or G raises UnresolvedConjugateError, and
-    cap_at(0) as F or G, which makes T identically +inf, ParameterError.
+    The primal is T(X) = kappa_F + log ||e^(-X)||_G with
+    kappa_F = min_u {F(u) - log u}, the ``_LOG_OFFSET`` table that
+    ``transformed_T`` reads.  With W = e^(-X) / ||e^(-X)||_G and E[z] = 1 the
+    conjugate is sup{E[z log W] : ||W||_G <= 1} - kappa_F.  By Gibbs'
+    inequality the sup sits at W^p = z / coef for G = coef x^p, at W = z / a
+    for G = a x, and at W = theta for cap_at(theta); E[z log z] is summed
+    over z > 0.  cap_at(0) as F or G, which makes T identically +inf, raises
+    ParameterError, and any other F or G UnresolvedConjugateError.
     """
     f, g = t.f, t.g
+    if ("cap", (0.0,)) in ((f.name, f.params), (g.name, g.params)):
+        raise ParameterError("cap_at(0) as F or G makes T identically +inf for H = exp")
     if f.name not in _LOG_OFFSET or g.name not in _LOG_SUP:
         raise UnresolvedConjugateError(
             f"no exact conjugate for H = exp with F = {f.name} and G = {g.name}")
-    if ("cap", (0.0,)) in ((f.name, f.params), (g.name, g.params)):
-        raise ParameterError("cap_at(0) as F or G makes T identically +inf for H = exp")
     pos = z > 0.0
     entropy = float(probs[pos] @ (z[pos] * np.log(z[pos])))
     return _LOG_SUP[g.name](entropy, *g.params) - _LOG_OFFSET[f.name](*f.params)
@@ -202,7 +186,7 @@ def conjugate_sharp(rho: RiskFunctional, y: RandomVariable) -> float:
     if np.any(z < -1e-12) or abs(float(probs @ z) - 1.0) > 1e-9:
         return INF
     if rho.kind != "transformed":
-        return 0.0 if _ball_membership(_dual_ball(rho), z, probs) else INF
+        return 0.0 if _in_dual_set(rho, z, probs) else INF
     _require_fgh2(rho.triple)
     return t_sharp_eta(rho.triple, -y)
 

@@ -3,15 +3,16 @@
 The transformed-norm measure pairs an outer transform F, a norm generator G
 and a loss reshaper H:
 
-    T(X) = inf_s { F(||H(s - X)||_G) - s },
+    T(X) = inf_s { F(||H(s - X)||_G) - s }.
 
-the cash-additive hull of f(X) = F(||H(-X)||_G), computed by the generic
-:func:`cash_hull`, a one-dimensional search whose widths are relative to
-max|X|.  The higher-order member T_{c,p} has its own kernel on the plain value
-array, :func:`higher_order_T`, which :func:`transformed_T` reads for every
-triple that is T_{c,p} (linear F, built-in power or linear G, H = x^+), with
-``cash_hull`` as the tests' slow reference.  The slope condition (FGH2) makes
-the hull objective coercive so the infimum is attained; (FGH1) rules out an
+:func:`transformed_T` computes T exactly wherever a closed form exists: the
+higher-order member T_{c,p} (linear F, built-in power or linear G, H = x^+)
+reads its own kernel on the plain value array, :func:`higher_order_T`; every
+H = exp triple is kappa_F - min X + log ||e^(min X - X)||_G, and every
+cap_at(theta) G with H = x^+ gives -min X - F*(theta).  The H = x^+ triples
+that are left run :func:`cash_hull`, a one-dimensional search from min X
+whose widths are relative to max|X|.  The slope condition (FGH2) makes the
+hull objective coercive so the infimum is attained; (FGH1) rules out an
 identically-infinite T.  Both are decided exactly from the kinds' data, with
 no probe: (FGH2) from the asymptotic slopes of F and H and the number
 G^{-1}(1), (FGH1) from where F is finite.  A triple computes its (FGH2)
@@ -33,8 +34,18 @@ from .orlicz import HFunction, OrliczFunction, g_inv_one, luxemburg_norm
 from .prob_core import RandomVariable
 
 INF = math.inf
+OMEGA = 0.5671432904097838  # the omega constant: OMEGA * exp(OMEGA) = 1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_DOUBLINGS = 60  # outward probes of the finite scan and downhill doublings of the walk
+_DOUBLINGS = 60  # upward doublings of the hull's walk from min X
+
+# kappa_F = min_u {F(u) - log u}, by the kind's parameters (+inf for cap_at(0))
+_LOG_OFFSET = {
+    "linear": lambda c: 1.0 + math.log(c),
+    "power": lambda p, coef: (1.0 + math.log(p * coef)) / p,
+    "cap": lambda theta: -math.log(theta) if theta > 0.0 else INF,
+    "exp_minus_one": lambda: 1.0 / OMEGA + OMEGA - 1.0,
+    "entropy_conjugate": lambda: 2.0 - 1.0 / OMEGA - OMEGA,
+}
 
 
 class TriState(enum.Enum):
@@ -174,55 +185,45 @@ def f_transformed(x: RandomVariable, t: OrliczTriple) -> float:
 
 
 def cash_hull(f_eval: Callable, x: RandomVariable):
-    """Attained minimum of psi(s) = f(X - s) - s together with a minimizer.
+    """Attained minimum of psi(s) = f(X - s) - s together with a minimizer,
+    for an f that depends only on the shortfall (s - X)^+ and is finite at 0.
 
-    Widths are relative to the data unit u = max|X| (1 when X = 0).  From
-    s0 = -E[X]: the first finite psi outward (psi may be inf, which compares
-    above every finite value); a downhill walk with steps doubling from
-    max(u, 1), where a flat stretch counts as attained only within 1e6 max(u, 1)
-    of the start (a decay to an unattained infimum also flattens far out); a
-    golden section to width 1e-10 u, or until its interior points no longer
-    split; a snap to the data values within the final width plus 1e-6 u of its
-    minimizer, the kinks of a piecewise-linear objective (by convexity a
-    farther kink cannot beat the golden value by more than the golden
-    tolerance).  Sixty fruitless doublings raise CoercivityError.
+    Then psi is finite at m = min X and falls up to it (psi(s) = f(0) - s
+    below m), so the search starts there.  Widths are relative to the data
+    unit u = max|X| (1 when X = 0).  An upward walk from m with steps doubling
+    from max(u, 1), where a flat stretch counts as attained only within
+    1e6 max(u, 1) of m (a decay to an unattained infimum also flattens far
+    out); a golden section, seeded with the walk's lowest point, to width
+    1e-10 u, or until its interior points no longer split; a snap to the data
+    values within the final width plus 1e-6 u of its minimizer, the kinks of a
+    piecewise-linear objective (by convexity a farther kink cannot beat the
+    golden value by more than the golden tolerance).  Sixty fruitless
+    doublings raise CoercivityError.
     """
 
     def psi(s: float) -> float:
         return float(f_eval(x - s)) - s
 
-    s0 = -x.mean()
+    m = float(x.values.min())
     unit = float(np.max(np.abs(x.values))) or 1.0
-    reach = max(unit, 1.0)
-    probes = [s0] + [s0 + sign * reach * 2.0 ** k for k in range(_DOUBLINGS + 1) for sign in (1, -1)]
-    for start in probes:
-        f_start = psi(start)
-        if f_start < INF:
+    reach = step = max(unit, 1.0)
+    s_best, f_best = m, psi(m)
+    before, prev = m, m
+    for _ in range(_DOUBLINGS):
+        cur = prev + step
+        f_cur = psi(cur)
+        if f_cur == INF or (f_cur >= f_best and cur - m <= 1e6 * reach):
+            lo, hi = before, cur
             break
+        before, prev, step = prev, cur, 2.0 * step
+        if f_cur < f_best:
+            s_best, f_best = cur, f_cur
     else:
-        return INF, s0
-
-    step = reach
-    f_left, f_right = psi(start - step), psi(start + step)
-    if f_start <= f_left and f_start <= f_right:
-        lo, hi = start - step, start + step
-    else:
-        direction = -1.0 if f_left < f_right else 1.0
-        before, prev, f_prev = start, start + direction * step, min(f_left, f_right)
-        for _ in range(_DOUBLINGS):
-            step *= 2.0
-            cur = prev + direction * step
-            f_cur = psi(cur)
-            if f_cur == INF or (f_cur >= f_prev and abs(cur - start) <= 1e6 * reach):
-                lo, hi = sorted((before, cur))
-                break
-            before, prev, f_prev = prev, cur, min(f_cur, f_prev)
-        else:
-            raise CoercivityError(f"no bracket after {_DOUBLINGS} doublings; objective non-coercive")
+        raise CoercivityError(f"no bracket after {_DOUBLINGS} doublings; objective non-coercive")
 
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     fc, fd = psi(c), psi(d)
-    s_best, f_best = (c, fc) if fc <= fd else (d, fd)
+    s_best, f_best = min((s_best, f_best), (c, fc), (d, fd), key=lambda pair: pair[1])
     while hi - lo > 1e-10 * unit and lo < c < d < hi:
         if fc <= fd:
             hi, d, fd = d, c, fc
@@ -246,9 +247,13 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
     ``f_transformed``; refuses to run when the triple's (FGH2) verdict is
     FAILS.  (linear(c), coef t^p, x^+) is T_{c coef^(1/p), p} and
     (linear(c), linear(a), x^+) is its AVaR mode p = 1 at c a, both read off
-    :func:`higher_order_T` (a passing verdict puts that c above 1).  Other
-    triples run :func:`cash_hull`, whose missing bracket surfaces as
-    CoercivityError.
+    :func:`higher_order_T` (a passing verdict puts that c above 1).  With
+    G = cap_at(theta) and H = x^+ the norm is (s - min X)^+ / theta, so
+    T = -min X - F*(theta).  With H = exp, ||e^(s - X)||_G = e^(s - m) K with
+    m = min X and K = ||e^(m - X)||_G, and u = e^(s - m) K turns the hull into
+    T = kappa_F - m + log K, kappa_F = min_u {F(u) - log u} (+inf for
+    F = cap_at(0), where T is identically +inf).  Other triples run
+    :func:`cash_hull`, whose missing bracket surfaces as CoercivityError.
     """
     _require_fgh2(t)
     if t.h.name == "positive_part" and t.f.name == "linear":
@@ -258,6 +263,12 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
             return higher_order_T(x, c * coef ** (1.0 / p), p)
         if t.g.name == "linear":
             return higher_order_T(x, c * t.g.params[0], 1.0)
+    m = float(x.values.min())
+    if t.h.name == "exponential":
+        k = luxemburg_norm(RandomVariable(x.space, np.exp(m - x.values)), t.g)
+        return _LOG_OFFSET[t.f.name](*t.f.params) - m + math.log(k)
+    if t.g.name == "cap":
+        return -m - t.f.conjugate()(t.g.params[0])
     value, _ = cash_hull(lambda y: f_transformed(y, t), x)
     return value
 

@@ -134,7 +134,8 @@ def test_transformed_conjugate_fenchel_and_attainment(data, outer):
         w_stars = ((power(2), np.sqrt(z)), (power(3), np.cbrt(z)), (linear(1.5), z),
                    (cap_at(2.0), np.full(z.size, 2.0)))
         cases = [(OrliczTriple(f, g, exponential()), -np.log(w_star))
-                 for f in (linear(2.0), exp_minus_one(), cap_at(0.5), power(2))
+                 for f in (linear(2.0), exp_minus_one(), exp_minus_one().conjugate(),
+                           cap_at(0.5), power(2))
                  for g, w_star in w_stars]
     else:
         if outer == "exp":

@@ -9,6 +9,7 @@ from scenrisk import (
     CoercivityError,
     FiniteProbSpace,
     OrliczTriple,
+    ParameterError,
     RandomVariable,
     RiskFunctional,
     TriState,
@@ -282,16 +283,25 @@ ROUTED = [triple(2.0, 2.0), triple(1.5, 3.0),
           OrliczTriple(f=linear(2.5), g=power(3).conjugate(), h=positive_part()),
           OrliczTriple(f=linear(2.0), g=linear(0.8), h=positive_part()),
           OrliczTriple(f=linear(1.0 / 0.3), g=power(1), h=positive_part())]
+# H = exp and a cap G with H = x^+ are closed forms too
+CLOSED = [OrliczTriple(f=linear(1.5), g=power(3), h=exponential()),
+          OrliczTriple(f=power(2), g=cap_at(0.5), h=positive_part())]
 GENERIC = [OrliczTriple(f=linear(2.0), g=exp_minus_one(), h=positive_part()),
-           OrliczTriple(f=linear(1.5), g=power(3), h=exponential())]
+           OrliczTriple(f=power(2), g=power(3), h=positive_part())]
 
 
-def test_only_the_unrouted_triples_run_the_generic_hull(monkeypatch, uniform4):
+def count_hull_calls(monkeypatch):
+    """Patch ``risk_core.cash_hull`` to log each call; returns the log."""
     calls = []
     hull = risk_core.cash_hull
     monkeypatch.setattr(risk_core, "cash_hull", lambda f, x: calls.append(None) or hull(f, x))
+    return calls
+
+
+def test_only_the_unrouted_triples_run_the_generic_hull(monkeypatch, uniform4):
+    calls = count_hull_calls(monkeypatch)
     x = RandomVariable(uniform4, np.array([0.4, -0.3, 1.2, 0.0]))
-    for t in ROUTED:
+    for t in ROUTED + CLOSED:
         transformed_T(x, t)
     assert calls == []
     for t in GENERIC:
@@ -335,8 +345,8 @@ def test_generic_hull_calls_do_not_grow_with_the_unit(scale):
 
 
 def test_transformed_overflowing_power_is_an_infinite_value():
-    # F = G = x**2 and H = exp overflow far out; the hull must treat that as
-    # inf.  Closed form: inf_s {e^(2s) K^2 - s} = (1 + log 2)/2 + log K with
+    # F = G = x**2 and H = exp overflow far out; the closed form must not.
+    # By hand: inf_s {e^(2s) K^2 - s} = (1 + log 2)/2 + log K with
     # K = ||e^(-X)||_2 = e^400 ((1 + e^(-800) + e^(-1000)) / 3)^(1/2)
     x = RandomVariable(FiniteProbSpace.uniform(3), np.array([-400.0, 0.0, 300.0]))
     t = OrliczTriple(f=power(2), g=power(2), h=exponential())
@@ -391,8 +401,9 @@ def tied_books(draw):
 @given(tied_books(), st.sampled_from(SNAP_TRIPLES))
 @settings(max_examples=150, deadline=None)
 def test_kink_snap_matches_the_full_bracket_scan(x, t):
+    # the hull takes only shortfall objectives; H = exp is transformed_T's closed form
     slow, _ = reference_cash_hull(lambda y: f_transformed(y, t), x)
-    fast = generic_T(x, t)
+    fast = generic_T(x, t) if t.h.name == "positive_part" else transformed_T(x, t)
     assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
@@ -430,8 +441,8 @@ def test_higher_order_p1_is_avar(x, c):
 
 
 def test_transformed_exponential_h_large_positions():
-    # exp(s - x) saturates to inf at far shifts; the hull must treat that as
-    # an infinite objective value, not crash on a non-finite variable
+    # exp(s - x) saturates to inf at far shifts; the closed form works on
+    # e^(min X - X) <= 1, which neither overflows nor saturates
     space = FiniteProbSpace.uniform(2)
     x = RandomVariable(space, np.array([-1000.0, 1000.0]))
     t = OrliczTriple(f=linear(1.5), g=power(2), h=exponential())
@@ -622,6 +633,55 @@ def test_exact_fgh_verdicts_match_the_probe_reference():
                                       ("fgh1", "cap", (0.0,), "positive_part"),
                                       ("fgh2", "zero", (), "exponential")]
     assert len(undecided) == 27
+
+
+def test_cap_at_zero_outer_with_exponential_h_is_identically_infinite():
+    # regression: exp(s - X) underflows to 0 near s = -745, where the old
+    # search found a finite objective and returned 746.5-748.1 for these G
+    x = RandomVariable(FiniteProbSpace.uniform(4), np.array([1.0, 2.0, -3.0, 0.5]))
+    y = RandomVariable.constant(x.space, -1.0)
+    for g in (power(2), linear(2.0), cap_at(2.0), exp_minus_one()):
+        t = OrliczTriple(f=cap_at(0.0), g=g, h=exponential())
+        assert fgh1_check(t) is TriState.FAILS
+        assert transformed_T(x, t) == INF
+        with pytest.raises(ParameterError):
+            conjugate_sharp(RiskFunctional.transformed(t), y)
+
+
+# measured worst |T - reference| / max(1, |T|) on the three books below:
+# closed forms 4.4e-16, T_{c,p} kernels 3.5e-16, hull-served 7.0e-13; a cap F
+# puts the optimum on the jump to +inf, which each search resolves only to its
+# golden width, the reference's being 1e-10 (measured 1.7e-11 closed, 6.3e-11
+# hull-served)
+GRID_BOUNDS = {"closed": 1e-15, "routed": 1e-12, "hull": 1e-12, "cap_f": 1e-10}
+
+
+def test_builtin_grid_matches_the_full_bracket_reference(monkeypatch):
+    calls = count_hull_calls(monkeypatch)
+    hull_served = 0
+    for seed, scale in enumerate((1e-3, 1.0, 1e3)):
+        x = seeded_book(seed, scale)
+        m = float(x.values.min())
+        for f in BUILTIN_F:
+            for g in BUILTIN_G:
+                for h in (positive_part(), exponential()):
+                    t = OrliczTriple(f=f, g=g, h=h)
+                    if t.fgh2 is not TriState.HOLDS:
+                        continue
+                    value = transformed_T(x, t)
+                    if h.name == "exponential" or g.name == "cap":
+                        kind = "closed"
+                    elif f.name == "linear" and g.name in ("power", "linear"):
+                        kind = "routed"
+                    else:
+                        kind, hull_served = "hull", hull_served + 1
+                    if (f.name, f.params) == ("cap", (0.0,)):
+                        assert value == (INF if h.name == "exponential" else -m), (t, scale)
+                        continue
+                    ref, _ = reference_cash_hull(lambda y: f_transformed(y, t), x)
+                    bound = GRID_BOUNDS["cap_f" if f.name == "cap" else kind]
+                    assert abs(value - ref) <= bound * max(1.0, abs(ref)), (t, scale)
+    assert len(calls) == hull_served > 0
 
 
 def test_fgh2_exponential_h():
