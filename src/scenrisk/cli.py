@@ -14,6 +14,7 @@ SCENRISK_SEED environment variable or --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -55,18 +56,21 @@ def _build_measure(args) -> RiskFunctional:
 def _add_common(sp):
     sp.add_argument("csv", help="scenario CSV (probability column first)")
     sp.add_argument("--column", default=None, help="value column (default: first)")
-    sp.add_argument("--seed", type=int, default=_seed_default())
+    sp.add_argument("--seed", type=int, default=None)  # None: resolved per call in main
 
 
 def main(argv=None) -> int:
     try:
+        seed = _seed_default()  # read on every call, so a later SCENRISK_SEED applies
         args = _parser().parse_args(argv)
+        args.seed = seed if args.seed is None else args.seed
         return _dispatch(args)
     except ScenRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenrisk", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

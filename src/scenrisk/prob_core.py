@@ -4,14 +4,15 @@ Everything downstream acts on simple random variables over a finite space of
 atoms with strictly positive probabilities.  A partition is one integer label
 per atom, numbered by first occurrence; atoms sharing a label form a cell, and
 conditioning on a partition replaces values by probability-weighted cell
-means.  Nonatomic constructions are emulated by fine discretizations, so
-the quality of any coarsening statement carries an explicit atom-size slack.
+means, keeping their law (K cell means, K masses) for law-invariant kernels.
+Nonatomic constructions are emulated by fine discretizations, so the quality
+of any coarsening statement carries an explicit atom-size slack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +98,7 @@ class RandomVariable:
 
     space: FiniteProbSpace
     values: np.ndarray
+    _law: tuple | None = field(default=None, init=False)  # set by cond_exp only
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -111,6 +113,10 @@ class RandomVariable:
     @classmethod
     def constant(cls, space: FiniteProbSpace, value: float) -> "RandomVariable":
         return cls(space, np.full(space.atom_count, float(value)))
+
+    def law(self) -> tuple:
+        """(values, probs), ties unmerged: cond_exp's cell means and masses, else the atoms."""
+        return self._law or (self.values, self.space.probs)
 
     def mean(self) -> float:
         return self.space.expect(self.values)
@@ -274,13 +280,17 @@ def cond_exp(x: RandomVariable, p: Partition) -> RandomVariable:
     The result is constant on each cell, equal to the probability-weighted
     cell mean.  It preserves the mean and contracts the L1 norm.  Each cell is
     summed pairwise (``np.add.reduceat`` over the atoms grouped by cell), not
-    in atom order, which keeps large cells accurate.
+    in atom order, which keeps large cells accurate.  The result keeps the cell
+    means and masses as its law (:meth:`RandomVariable.law`); arithmetic drops it.
     """
     _require_same_space(x.space, p.space, "cond_exp")
     order, _, starts = p._by_cell()
     w = x.space.probs[order]
-    means = np.add.reduceat(w * x.values[order], starts) / np.add.reduceat(w, starts)
-    return RandomVariable(x.space, means[p.labels])
+    masses = _frozen(np.add.reduceat(w, starts))
+    means = _frozen(np.add.reduceat(w * x.values[order], starts) / masses)
+    out = RandomVariable(x.space, means[p.labels])
+    object.__setattr__(out, "_law", (means, masses))
+    return out
 
 
 def dyadic_chain(space: FiniteProbSpace, x: RandomVariable, depth: int):

@@ -7,16 +7,17 @@ and a loss reshaper H:
 
 :func:`transformed_T` computes T exactly wherever a closed form exists: the
 higher-order member T_{c,p} (linear F, built-in power or linear G, H = x^+)
-reads its own kernel on the plain value array, :func:`higher_order_T`; every
-H = exp triple is kappa_F - min X + log ||e^(min X - X)||_G, and every
-cap_at(theta) G with H = x^+ gives -min X - F*(theta).  The H = x^+ triples
-that are left run :func:`cash_hull`, a one-dimensional search from min X
-whose widths are relative to max|X|.  The slope condition (FGH2) makes the
-hull objective coercive so the infimum is attained; (FGH1) rules out an
-identically-infinite T.  Both are decided exactly from the kinds' data, with
-no probe: (FGH2) from the asymptotic slopes of F and H and the number
-G^{-1}(1), (FGH1) from where F is finite.  A triple computes its (FGH2)
-verdict once, on first use, and keeps it.
+reads its own kernel on the law of X, :func:`higher_order_T`; every
+H = exp triple is kappa_F - min X + log ||e^(min X - X)||_G, every
+cap_at(theta) G with H = x^+ gives -min X - F*(theta), and a cap_at(theta)
+F with H = x^+ is minus the bisected root of ||(s - X)^+||_G = theta.  The
+H = x^+ triples that are left run :func:`cash_hull`, a one-dimensional
+search from min X whose widths are relative to max|X|.  The slope condition
+(FGH2) makes the hull objective coercive so the infimum is attained; (FGH1)
+rules out an identically-infinite T.  Both are decided exactly from the
+kinds' data, with no probe: (FGH2) from the asymptotic slopes of F and H and
+the number G^{-1}(1), (FGH1) from where F is finite.  A triple computes its
+(FGH2) verdict once, on first use, and keeps it.
 """
 
 from __future__ import annotations
@@ -132,13 +133,13 @@ def avar(x: RandomVariable, alpha: float) -> float:
     """Average value at risk: (1/alpha) * integral of VaR_t over (0, alpha].
 
     The VaR curve is piecewise constant, so the integral is an exact finite
-    sum over sorted atoms -- no quadrature error.
+    sum over the sorted points of :meth:`RandomVariable.law` -- no quadrature error.
     """
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("alpha must lie in (0, 1]")
-    order = np.argsort(x.values, kind="stable")
-    v = x.values[order]
-    pr = x.space.probs[order]
+    v, pr = x.law()
+    order = np.argsort(v, kind="stable")
+    v, pr = v[order], pr[order]
     cum = np.cumsum(pr)
     cum_prev = cum - pr
     w = np.clip(np.minimum(cum, alpha) - cum_prev, 0.0, None)
@@ -146,13 +147,13 @@ def avar(x: RandomVariable, alpha: float) -> float:
 
 
 def avar_many(x: RandomVariable, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized ``avar`` over a whole level grid (single sort)."""
+    """Vectorized ``avar`` over a whole level grid (single sort of the law)."""
     alphas = np.asarray(alphas, dtype=float)
     if not np.all((alphas > 0.0) & (alphas <= 1.0)):
         raise ParameterError("every alpha must lie in (0, 1]")
-    order = np.argsort(x.values, kind="stable")
-    v = x.values[order]
-    pr = x.space.probs[order]
+    v, pr = x.law()
+    order = np.argsort(v, kind="stable")
+    v, pr = v[order], pr[order]
     cum = np.cumsum(pr)
     partial = np.concatenate([[0.0], np.cumsum(v * pr)])
     m = np.searchsorted(cum, alphas, side="right")
@@ -249,8 +250,9 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
     (linear(c), linear(a), x^+) is its AVaR mode p = 1 at c a, both read off
     :func:`higher_order_T` (a passing verdict puts that c above 1).  With
     G = cap_at(theta) and H = x^+ the norm is (s - min X)^+ / theta, so
-    T = -min X - F*(theta).  With H = exp, ||e^(s - X)||_G = e^(s - m) K with
-    m = min X and K = ||e^(m - X)||_G, and u = e^(s - m) K turns the hull into
+    T = -min X - F*(theta); F = cap_at(theta) gives -:func:`_shortfall_root`.
+    With H = exp, ||e^(s - X)||_G = e^(s - m) K with m = min X and
+    K = ||e^(m - X)||_G, and u = e^(s - m) K turns the hull into
     T = kappa_F - m + log K, kappa_F = min_u {F(u) - log u} (+inf for
     F = cap_at(0), where T is identically +inf).  Other triples run
     :func:`cash_hull`, whose missing bracket surfaces as CoercivityError.
@@ -269,8 +271,29 @@ def transformed_T(x: RandomVariable, t: OrliczTriple) -> float:
         return _LOG_OFFSET[t.f.name](*t.f.params) - m + math.log(k)
     if t.g.name == "cap":
         return -m - t.f.conjugate()(t.g.params[0])
+    if t.f.name == "cap":
+        return -_shortfall_root(x, t.g, t.f.params[0])
     value, _ = cash_hull(lambda y: f_transformed(y, t), x)
     return value
+
+
+def _shortfall_root(x: RandomVariable, g: OrliczFunction, theta: float) -> float:
+    """The largest s with ||(s - X)^+||_G <= theta, bisected to adjacent floats
+    from min X (where the norm is 0) and an upper end doubled until it fails;
+    the norm is continuous and nondecreasing in s.  theta = 0 gives min X."""
+    v, lo = x.values, float(x.values.min())
+    if theta == 0.0:
+        return lo
+
+    def fits(s: float) -> bool:
+        return luxemburg_norm(RandomVariable(x.space, np.maximum(s - v, 0.0)), g) <= theta
+
+    step = max(float(np.max(np.abs(v))), 1.0)
+    while fits(hi := lo + step):
+        lo, step = hi, 2.0 * step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 def _require_fgh2(t: OrliczTriple) -> None:
@@ -319,11 +342,12 @@ def higher_order_T(x: RandomVariable, c: float, p: float) -> float:
 
     ``p = 1`` is AVaR_{1/c} by Rockafellar-Uryasev (-E[X] at c = 1); for p > 1
     the smaller value at the ends of :func:`_higher_order_bracket` is taken.
+    Both read :meth:`RandomVariable.law`: a conditional expectation's K cells.
     """
     _check_higher_order_params(c, p)
     if p == 1.0:
         return avar(x, 1.0 / c)
-    v, probs = x.values, x.space.probs
+    v, probs = x.law()
     lo, hi = _higher_order_bracket(v, probs, c, p)
     if hi is None:
         return -lo

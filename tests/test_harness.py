@@ -463,6 +463,17 @@ def test_cli_kusuoka(capsys):
     assert abs(gap) <= 1e-9
 
 
+@pytest.mark.parametrize("flag, value", [("--p", "1.0000001"), ("--c", "1e200")])
+def test_cli_kusuoka_certifies_at_a_huge_q_or_c(flag, value, capsys):
+    # q ~ 1e7 or c = 1e200 overflowed c**q in the certificate: a traceback, not exit 2
+    rc = main(["kusuoka", str(DATA / "uniform4.csv"), flag, value])
+    out = capsys.readouterr().out
+    assert rc == 0
+    primal = float(re.search(r"primal: (\S+)", out).group(1))
+    mixture = float(re.search(r"mixture_value: (\S+)", out).group(1))
+    assert abs(mixture - primal) <= 1e-9
+
+
 @pytest.mark.parametrize("argv, env_seed", [
     (["eval", "--column", "nosuch"], None),
     (["eval", "--alpha", "2"], None),
@@ -539,3 +550,11 @@ def test_cli_seed_env_override(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert "seed: 31337" in out
+
+
+def test_cli_reads_the_seed_variable_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process; the seed default is not baked into it
+    for seed in ("11", "23"):
+        monkeypatch.setenv("SCENRISK_SEED", seed)
+        assert main(["eval", str(DATA / "uniform4.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"seed: {seed}"

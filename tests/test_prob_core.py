@@ -235,6 +235,33 @@ def test_cond_exp_weighted_space():
     assert np.allclose(cond_exp(x, p).values, [10.0, -2.0, -2.0], atol=1e-12)
 
 
+@given(variable_with_partition())
+@settings(max_examples=100, deadline=None)
+def test_cond_exp_carries_one_law_point_per_cell(xp):
+    x, p = xp
+    ce = cond_exp(x, p)
+    values, probs = ce.law()
+    assert len(values) == len(probs) == p.n_cells
+    assert np.array_equal(values[p.labels], ce.values)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def test_law_of_an_atom_level_variable_is_the_atom_pair(x1234):
+    assert x1234.law()[0] is x1234.values and x1234.law()[1] is x1234.space.probs
+    ce = cond_exp(x1234, Partition.from_labels(x1234.space, [0, 0, 1, 1]))
+    shifted = ce + 0.0  # arithmetic builds a new variable without the cell law
+    values, probs = shifted.law()
+    assert values is shifted.values and probs is shifted.space.probs
+
+
+def test_random_variable_takes_no_law_argument(x1234):
+    law = (np.array([2.5]), np.array([1.0]))
+    with pytest.raises(TypeError):
+        RandomVariable(x1234.space, x1234.values, law)
+    with pytest.raises(TypeError):
+        RandomVariable(x1234.space, x1234.values, _law=law)
+
+
 def test_cond_exp_space_mismatch(x1234):
     other = Partition.trivial(FiniteProbSpace.uniform(3))
     with pytest.raises(SpaceMismatchError):

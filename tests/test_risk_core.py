@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from scenrisk import (
     FiniteProbSpace,
     OrliczTriple,
     ParameterError,
+    Partition,
     RandomVariable,
     RiskFunctional,
     TriState,
     avar,
+    avar_many,
     cap_at,
     cash_hull,
     cond_exp,
     conjugate_sharp,
+    dyadic_chain,
     exp_minus_one,
     exponential,
     f_transformed,
@@ -34,7 +38,7 @@ from scenrisk import (
 
 from scenrisk import risk_core
 
-from conftest import variable_with_partition, variables
+from conftest import partitions, spaces, variable_with_partition, variables
 from search_reference import (bracket_minimum, golden_section, reference_fgh1, reference_fgh2,
                               scan_finite)
 
@@ -122,6 +126,49 @@ def test_avar_matches_ru_grid(x):
 def test_avar_rejects_bad_alpha(x1234):
     with pytest.raises(ValueError):
         avar(x1234, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the cell law of a conditional expectation against its atom-level copy
+# ---------------------------------------------------------------------------
+
+@st.composite
+def coarsened_books(draw):
+    """(x, partition): uniform or random weights; values free, rounded to a few
+    ties or constant, at scales 1e-6 to 1e6; a dyadic, random, trivial or
+    finest partition."""
+    space = draw(spaces(max_atoms=40))
+    x = draw(variables(space=space))
+    shape = draw(st.sampled_from(["free", "ties", "constant"]))
+    vals = {"free": x.values, "ties": np.round(x.values / 8.0),
+            "constant": np.full(space.atom_count, x.values[0])}[shape]
+    x = RandomVariable(space, vals * 10.0 ** draw(st.integers(-6, 6)))
+    kind = draw(st.sampled_from(["dyadic", "random", "trivial", "finest"]))
+    if kind == "dyadic":
+        return x, dyadic_chain(space, x, draw(st.integers(1, 6)))[-1]
+    if kind == "random":
+        return x, draw(partitions(space))
+    return x, getattr(Partition, kind)(space)
+
+
+LAW_ALPHAS = np.array([0.01, 0.05, 0.1, 0.25, 0.5, 0.9, 1.0])
+
+
+@given(coarsened_books())
+@settings(max_examples=200, deadline=None)
+def test_cell_law_kernels_match_the_atom_copy(book):
+    # bounds of max(1, max|X|): on 600 seeded books of 2-400 atoms (scales 1e-6
+    # to 1e6, a third with ties) and on 5,000 draws of this strategy the worst
+    # was 8.4e-16 for avar, 1.5e-15 for avar_many and 4.5e-16 for higher_order_T
+    x, p = book
+    ce = cond_exp(x, p)
+    atoms = RandomVariable(x.space, ce.values)
+    unit = max(1.0, float(np.max(np.abs(x.values))))
+    for a in LAW_ALPHAS:
+        assert abs(avar(ce, a) - avar(atoms, a)) <= 2e-15 * unit
+    assert np.max(np.abs(avar_many(ce, LAW_ALPHAS) - avar_many(atoms, LAW_ALPHAS))) <= 4e-15 * unit
+    for c, q in ((2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (10.0, 1.2)):
+        assert abs(higher_order_T(ce, c, q) - higher_order_T(atoms, c, q)) <= 2e-15 * unit
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +330,11 @@ ROUTED = [triple(2.0, 2.0), triple(1.5, 3.0),
           OrliczTriple(f=linear(2.5), g=power(3).conjugate(), h=positive_part()),
           OrliczTriple(f=linear(2.0), g=linear(0.8), h=positive_part()),
           OrliczTriple(f=linear(1.0 / 0.3), g=power(1), h=positive_part())]
-# H = exp and a cap G with H = x^+ are closed forms too
+# H = exp and a cap G with H = x^+ are closed forms too, and a cap F with
+# H = x^+ is a bisected root
 CLOSED = [OrliczTriple(f=linear(1.5), g=power(3), h=exponential()),
-          OrliczTriple(f=power(2), g=cap_at(0.5), h=positive_part())]
+          OrliczTriple(f=power(2), g=cap_at(0.5), h=positive_part()),
+          OrliczTriple(f=cap_at(0.5), g=exp_minus_one(), h=positive_part())]
 GENERIC = [OrliczTriple(f=linear(2.0), g=exp_minus_one(), h=positive_part()),
            OrliczTriple(f=power(2), g=power(3), h=positive_part())]
 
@@ -648,11 +697,49 @@ def test_cap_at_zero_outer_with_exponential_h_is_identically_infinite():
             conjugate_sharp(RiskFunctional.transformed(t), y)
 
 
+def exact_shortfall_root(x, g, theta):
+    """The largest s with ||(s - X)^+||_G = theta, in rationals: for linear(b)
+    from the prefix sums of b E[(s - X)^+] = theta, for power(2) from the
+    quadratic E[((s - X)^+)^2] = theta^2, on the first active segment that
+    holds its own root."""
+    order = np.argsort(x.values)
+    v = [Fraction(float(a)) for a in x.values[order]]
+    pr = [Fraction(float(a)) for a in x.space.probs[order]]
+    th = Fraction(theta)
+    mass = first = second = Fraction(0)
+    for k in range(len(v)):
+        mass, first, second = mass + pr[k], first + pr[k] * v[k], second + pr[k] * v[k] ** 2
+        if g.name == "linear":
+            s = (th / Fraction(g.params[0]) + first) / mass
+        else:  # mass s^2 - 2 first s + second - theta^2 = 0, square root to 2^-200
+            disc = first * first - mass * (second - th * th)
+            root = Fraction(math.isqrt(disc.numerator * disc.denominator << 400),
+                            disc.denominator << 200)
+            s = (first + root) / mass
+        if k + 1 == len(v) or s <= v[k + 1]:
+            return s
+
+
+@pytest.mark.parametrize("g", [linear(0.5), linear(2.0), power(2)])
+def test_cap_outer_is_minus_the_exact_shortfall_root(g):
+    # measured worst |T - exact| / max(1, |T|, max|X|): 3.8e-16 on 200 seeded
+    # books at each of these scales and thresholds
+    for seed in range(30):
+        for scale in (1e-3, 1.0, 1e3):
+            x = seeded_book(seed, scale)
+            unit = max(1.0, float(np.max(np.abs(x.values))))
+            for theta in (1e-3, 0.5, 2.0, 37.0):
+                exact = -exact_shortfall_root(x, g, theta)
+                value = transformed_T(x, OrliczTriple(f=cap_at(theta), g=g, h=positive_part()))
+                assert abs(Fraction(value) - exact) <= 1e-15 * max(unit, abs(exact)), (seed, theta)
+            assert transformed_T(x, OrliczTriple(f=cap_at(0.0), g=g, h=positive_part())) == -x.min()
+
+
 # measured worst |T - reference| / max(1, |T|) on the three books below:
 # closed forms 4.4e-16, T_{c,p} kernels 3.5e-16, hull-served 7.0e-13; a cap F
-# puts the optimum on the jump to +inf, which each search resolves only to its
-# golden width, the reference's being 1e-10 (measured 1.7e-11 closed, 6.3e-11
-# hull-served)
+# puts the optimum on the jump to +inf, which the reference resolves only to
+# its golden width of 1e-10 (measured 2.2e-11 against the bisected roots,
+# which the exact-root test above pins to rounding)
 GRID_BOUNDS = {"closed": 1e-15, "routed": 1e-12, "hull": 1e-12, "cap_f": 1e-10}
 
 
@@ -669,7 +756,7 @@ def test_builtin_grid_matches_the_full_bracket_reference(monkeypatch):
                     if t.fgh2 is not TriState.HOLDS:
                         continue
                     value = transformed_T(x, t)
-                    if h.name == "exponential" or g.name == "cap":
+                    if h.name == "exponential" or "cap" in (f.name, g.name):
                         kind = "closed"
                     elif f.name == "linear" and g.name in ("power", "linear"):
                         kind = "routed"
